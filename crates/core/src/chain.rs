@@ -10,6 +10,12 @@
 //! after the other. The partition changes how many rules the engine
 //! must look at, not the order in which the surviving ones run.
 //!
+//! Every chain also carries a compiled **op column**: one byte per rule
+//! holding its `-o` selector (or `OP_ANY`). The engine rejects a rule
+//! whose operation differs straight from the column, without loading
+//! the rule itself, so a walk over hundreds of op-specific rules stays
+//! in a few cache lines.
+//!
 //! Rule compilation also performs the **static cacheability analysis**
 //! backing the VCACHE verdict cache: each rule carries purity flags
 //! (computed in `rule.rs` from its modules and target), and
@@ -18,9 +24,10 @@
 //! side-effect free.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Deref;
 use std::sync::Arc;
 
-use pf_types::{PfError, PfResult, ProgramId};
+use pf_types::{LsmOperation, PfError, PfResult, ProgramId};
 
 use crate::compile::CompiledDispatch;
 use crate::rule::{CtxPolicy, Rule, Target};
@@ -65,6 +72,62 @@ impl ChainName {
     }
 }
 
+/// Op-column byte of a rule without a `-o` selector: it applies to every
+/// operation.
+const OP_ANY: u8 = u8::MAX;
+
+/// The op-column byte for one rule's `-o` selector.
+pub(crate) fn op_byte(op: Option<LsmOperation>) -> u8 {
+    op.map_or(OP_ANY, |op| op as u8)
+}
+
+/// One chain: its rules in evaluation order, and the op column the
+/// rule base's compile step builds from them (`ops[i]` is the `-o`
+/// selector of `rules[i]` as a byte, or `OP_ANY`). Derefs to the rule
+/// slice.
+#[derive(Debug, Clone, Default)]
+pub struct Chain {
+    rules: Vec<Rule>,
+    ops: Vec<u8>,
+}
+
+/// The chain a missing name resolves to.
+static EMPTY_CHAIN: Chain = Chain {
+    rules: Vec::new(),
+    ops: Vec::new(),
+};
+
+impl Chain {
+    /// Whether rule `index`'s `-o` selector admits `op`, answered from
+    /// the op column alone (the rule itself is not loaded).
+    #[inline]
+    pub(crate) fn op_admits(&self, index: usize, op: LsmOperation) -> bool {
+        debug_assert_eq!(self.ops.len(), self.rules.len(), "op column out of date");
+        let sel = self.ops[index];
+        sel == OP_ANY || sel == op as u8
+    }
+
+    /// The op column, parallel to the rules.
+    #[cfg(test)]
+    pub(crate) fn ops(&self) -> &[u8] {
+        &self.ops
+    }
+
+    fn compile_ops(&mut self) {
+        self.ops.clear();
+        self.ops
+            .extend(self.rules.iter().map(|r| op_byte(r.def.op)));
+    }
+}
+
+impl Deref for Chain {
+    type Target = [Rule];
+
+    fn deref(&self) -> &[Rule] {
+        &self.rules
+    }
+}
+
 /// The installed rules, per chain, in evaluation order, plus the compiled
 /// entrypoint index used by the EPTSPC optimization.
 ///
@@ -73,7 +136,7 @@ impl ChainName {
 /// immutable snapshot (see `snapshot.rs`).
 #[derive(Debug, Clone)]
 pub struct RuleBase {
-    chains: BTreeMap<ChainName, Vec<Rule>>,
+    chains: BTreeMap<ChainName, Chain>,
     /// Indices (into the input chain) of rules without an entrypoint.
     input_generic: Vec<usize>,
     /// Entrypoint → indices of input-chain rules bound to it.
@@ -132,7 +195,7 @@ impl RuleBase {
 
     /// Appends (or with `insert_head`, prepends) a rule to a chain.
     pub fn add(&mut self, chain: ChainName, rule: Rule, insert_head: bool) {
-        let rules = self.chains.entry(chain).or_default();
+        let rules = &mut self.chains.entry(chain).or_default().rules;
         if insert_head {
             rules.insert(0, rule);
         } else {
@@ -143,10 +206,11 @@ impl RuleBase {
 
     /// Deletes the first rule in `chain` whose text equals `text`.
     pub fn delete(&mut self, chain: &ChainName, text: &str) -> PfResult<()> {
-        let rules = self
+        let rules = &mut self
             .chains
             .get_mut(chain)
-            .ok_or_else(|| PfError::RuleError(format!("no such chain {chain:?}")))?;
+            .ok_or_else(|| PfError::RuleError(format!("no such chain {chain:?}")))?
+            .rules;
         let pos = rules
             .iter()
             .position(|r| r.text == text)
@@ -170,7 +234,7 @@ impl RuleBase {
                 chain.name()
             )));
         }
-        self.chains.insert(chain, Vec::new());
+        self.chains.insert(chain, Chain::default());
         self.mark_changed();
         Ok(())
     }
@@ -178,8 +242,8 @@ impl RuleBase {
     /// Empties one chain (`pftables -F chain`), keeping it declared.
     pub fn flush(&mut self, chain: &ChainName) -> PfResult<()> {
         match self.chains.get_mut(chain) {
-            Some(rules) => {
-                rules.clear();
+            Some(c) => {
+                c.rules.clear();
                 self.mark_changed();
                 Ok(())
             }
@@ -217,14 +281,15 @@ impl RuleBase {
         }
     }
 
-    /// Rules of one chain, in order.
-    pub fn chain(&self, chain: &ChainName) -> &[Rule] {
-        self.chains.get(chain).map(Vec::as_slice).unwrap_or(&[])
+    /// One chain's rules in order, with its op column; an undeclared
+    /// chain is empty.
+    pub fn chain(&self, chain: &ChainName) -> &Chain {
+        self.chains.get(chain).unwrap_or(&EMPTY_CHAIN)
     }
 
     /// Total rules across all chains.
     pub fn len(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
+        self.chains.values().map(|c| c.rules.len()).sum()
     }
 
     /// Returns `true` when no rules are installed.
@@ -234,7 +299,9 @@ impl RuleBase {
 
     /// Iterates over `(chain, rules)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&ChainName, &[Rule])> {
-        self.chains.iter().map(|(c, r)| (c, r.as_slice()))
+        self.chains
+            .iter()
+            .map(|(name, c)| (name, c.rules.as_slice()))
     }
 
     /// Hot-reload carryover for throttle state: every RATELIMIT/QUOTA
@@ -248,7 +315,7 @@ impl RuleBase {
     ///
     /// [`ThrottleCell`]: crate::ratelimit::ThrottleCell
     pub(crate) fn carry_throttle_state(&mut self, old: &RuleBase) {
-        for (chain, rules) in self.chains.iter_mut() {
+        for (chain, c) in self.chains.iter_mut() {
             let old_rules = match old.chains.get(chain) {
                 Some(r) => r,
                 None => continue,
@@ -264,7 +331,7 @@ impl RuleBase {
                     cells.entry(o.text.as_str()).or_default().push_back(cell);
                 }
             }
-            for rule in rules.iter_mut().filter(|r| r.target.is_throttle()) {
+            for rule in c.rules.iter_mut().filter(|r| r.target.is_throttle()) {
                 if let Some(cell) = cells
                     .get_mut(rule.text.as_str())
                     .and_then(|q| q.pop_front())
@@ -306,9 +373,13 @@ impl RuleBase {
     }
 
     /// Snapshot compile step, run on every rule-base mutation: rebuilds
-    /// the entrypoint partition of the input chain, the RULESETC
-    /// dispatch tables, and the static cacheability summary.
+    /// every chain's op column, the entrypoint partition of the input
+    /// chain, the RULESETC dispatch tables, and the static cacheability
+    /// summary.
     fn recompile(&mut self) {
+        for c in self.chains.values_mut() {
+            c.compile_ops();
+        }
         self.input_generic.clear();
         self.input_by_ept.clear();
         self.input_entrypoint_all.clear();
@@ -338,12 +409,12 @@ impl RuleBase {
             if visited.contains(&chain) {
                 continue;
             }
-            for rule in self.chain(&chain) {
+            for rule in self.chain(&chain).iter() {
                 if !rule.vc_pure() {
                     return false;
                 }
                 if let Target::Jump(name) = &rule.target {
-                    pending.push(ChainName::parse(name));
+                    pending.push(name.clone());
                 }
             }
             visited.push(chain);
@@ -502,7 +573,7 @@ mod tests {
         let jump = Rule::new(
             DefaultMatches::default(),
             vec![],
-            Target::Jump("island".into()),
+            Target::Jump(ChainName::User("island".into())),
             "jump".to_owned(),
         );
         rb.add(ChainName::Input, jump, false);
@@ -523,5 +594,58 @@ mod tests {
         );
         assert_eq!(rb.chain(&ChainName::Input).len(), 0);
         assert_eq!(rb.chain(&ChainName::User("signal_chain".into())).len(), 1);
+    }
+
+    /// Asserts every chain's op column matches its rules.
+    fn assert_columns_fresh(rb: &RuleBase) {
+        for (name, rules) in rb.iter() {
+            let want: Vec<u8> = rules.iter().map(|r| op_byte(r.def.op)).collect();
+            assert_eq!(rb.chain(name).ops(), want, "{name:?}");
+        }
+    }
+
+    fn op_rule(text: &str, op: Option<LsmOperation>) -> Rule {
+        let mut r = rule(text, None);
+        r.def.op = op;
+        r
+    }
+
+    #[test]
+    fn op_column_tracks_every_rule_base_mutation() {
+        use LsmOperation::{FileOpen, FileRead, FileWrite};
+        let side = ChainName::User("side".into());
+        let mut rb = RuleBase::new();
+        rb.add(ChainName::Input, op_rule("a", Some(FileOpen)), false);
+        rb.add(ChainName::Input, op_rule("b", None), false);
+        rb.add(ChainName::Input, op_rule("c", Some(FileWrite)), true);
+        assert_eq!(
+            rb.chain(&ChainName::Input).ops(),
+            [FileWrite as u8, FileOpen as u8, OP_ANY]
+        );
+        rb.delete(&ChainName::Input, "a").unwrap();
+        assert_eq!(rb.chain(&ChainName::Input).ops(), [FileWrite as u8, OP_ANY]);
+        rb.new_chain(side.clone()).unwrap();
+        assert!(rb.chain(&side).ops().is_empty());
+        rb.add(side.clone(), op_rule("s", Some(FileRead)), false);
+        assert_eq!(rb.chain(&side).ops(), [FileRead as u8]);
+        assert_columns_fresh(&rb);
+        rb.flush(&side).unwrap();
+        assert!(rb.chain(&side).ops().is_empty());
+        rb.delete_chain(&side).unwrap();
+        assert_columns_fresh(&rb);
+
+        // A deferred batch owes the column until it finishes.
+        rb.set_deferred();
+        rb.add(side.clone(), op_rule("t", Some(FileOpen)), false);
+        rb.add(ChainName::Input, op_rule("d", Some(FileRead)), true);
+        assert!(rb.finish_deferred());
+        assert_eq!(rb.chain(&side).ops(), [FileOpen as u8]);
+        assert_eq!(
+            rb.chain(&ChainName::Input).ops(),
+            [FileRead as u8, FileWrite as u8, OP_ANY]
+        );
+        rb.clear();
+        assert!(rb.chain(&ChainName::Input).ops().is_empty());
+        assert_columns_fresh(&rb);
     }
 }

@@ -41,7 +41,7 @@ use pf_types::{Interner, LsmOperation, PfResult, Verdict};
 
 use pf_mac::MacPolicy;
 
-use crate::chain::ChainName;
+use crate::chain::{Chain, ChainName};
 use crate::compile::MergeDispatch;
 use crate::config::{OptLevel, PfConfig};
 use crate::context::Packet;
@@ -830,6 +830,7 @@ impl ProcessFirewall {
             cache_track: cache_ctx.is_some(),
             cache_blocked: false,
             event_id,
+            detail: self.metrics.detailed(),
             hops: 0,
             throttle: ThrottleOutcome::None,
             fired_rule: 0,
@@ -840,6 +841,11 @@ impl ProcessFirewall {
         let hops = inv.hops;
         let throttle = inv.throttle;
         let fired_rule = inv.fired_rule;
+        // One shared add per invocation: `hops` counts exactly the
+        // rules the walk visited, early exits included.
+        if hops != 0 {
+            self.metrics.add_rules(u64::from(hops));
+        }
         let (mut decision, kind) = match run {
             Some(d) => {
                 let kind = match d.verdict {
@@ -921,9 +927,9 @@ impl ProcessFirewall {
 
     /// Builds and emits one [`DecisionEvent`] for a completed
     /// invocation. No-op unless the gate selected the invocation;
-    /// under `errors-only` the fully built event is discarded when the
-    /// outcome is clean (the id was already claimed, so `seq` gaps in
-    /// drained output are expected in that mode).
+    /// under `errors-only` a clean outcome returns before the event is
+    /// built (the id was already claimed, so `seq` gaps in drained
+    /// output are expected in that mode).
     #[allow(clippy::too_many_arguments)]
     fn emit_decision_event(
         &self,
@@ -941,6 +947,11 @@ impl ProcessFirewall {
         rule_key: u64,
     ) {
         if !gate.armed() {
+            return;
+        }
+        if gate == Gate::ErrorsOnly
+            && !DecisionEvent::is_error_outcome(verdict, decision.degraded, throttle)
+        {
             return;
         }
         let mut ev = DecisionEvent::empty();
@@ -972,9 +983,6 @@ impl ProcessFirewall {
         if let Some(t0) = t0 {
             ev.latency_ns = t0.elapsed().as_nanos() as u64;
         }
-        if gate == Gate::ErrorsOnly && !ev.is_error() {
-            return;
-        }
         self.events.emit(shard, &ev);
     }
 }
@@ -1002,7 +1010,12 @@ struct Invocation<'a> {
     /// sampling gate did not select it. Stamped into TRACE hops so the
     /// per-hop chain path joins back to its decision event.
     event_id: u64,
-    /// Rules traversed by this walk (every chain, jumps included).
+    /// The detail layer's flag, read once per invocation: when it is
+    /// off (and TRACE is not armed) an op-mismatched rule is rejected
+    /// from the chain's op column without touching shared state.
+    detail: bool,
+    /// Rules traversed by this walk (every chain, jumps included);
+    /// published to `rules_evaluated` once the walk returns.
     hops: u32,
     /// The invocation's throttle outcome: `Granted` once any throttle
     /// rule admits the access, upgraded to `RateLimited`/`QuotaExceeded`
@@ -1127,7 +1140,7 @@ impl<'a> Invocation<'a> {
                     // trusted entrypoint no bucket can be excluded.
                     self.degraded = true;
                     self.metrics.bump_rulesetc_fallback();
-                    return self.run_seq(&ChainName::Input, input.iter().enumerate(), pkt, op, 0);
+                    return self.run_seq(&ChainName::Input, input, 0..input.len(), pkt, op, 0);
                 }
             }
         } else {
@@ -1157,8 +1170,8 @@ impl<'a> Invocation<'a> {
         self.metrics.bump_rulesetc_dispatch();
         let mut slices: [&[usize]; 8] = [&[]; 8];
         let n = dispatch.select(op, label, ept, &mut slices);
-        let merged = MergeDispatch::new(&slices[..n]).map(|i| (i, &input[i]));
-        self.run_seq(&ChainName::Input, merged, pkt, op, 0)
+        let merged = MergeDispatch::new(&slices[..n]);
+        self.run_seq(&ChainName::Input, input, merged, pkt, op, 0)
     }
 
     /// EPTSPC: walk the input chain as a two-way merge of the generic
@@ -1169,8 +1182,8 @@ impl<'a> Invocation<'a> {
         if snap.entrypoint_chain_count() == 0 {
             // No entrypoint-bound rules: the generic indices are the
             // whole chain, and no unwind is needed to walk it.
-            let generic = snap.input_generic().iter().map(|&i| (i, &input[i]));
-            return self.run_seq(&ChainName::Input, generic, pkt, op, 0);
+            let generic = snap.input_generic().iter().copied();
+            return self.run_seq(&ChainName::Input, input, generic, pkt, op, 0);
         }
         // Bound chains exist, so which rules apply depends on the
         // caller's entrypoint — resolve it *before* traversal so the
@@ -1181,15 +1194,15 @@ impl<'a> Invocation<'a> {
         match pkt.entrypoint_value(self.metrics) {
             Fetched::Value(ept) => {
                 let bound = snap.input_for_entrypoint(ept).unwrap_or(&[]);
-                let merged = MergeIndices::new(snap.input_generic(), bound).map(|i| (i, &input[i]));
-                self.run_seq(&ChainName::Input, merged, pkt, op, 0)
+                let merged = MergeIndices::new(snap.input_generic(), bound);
+                self.run_seq(&ChainName::Input, input, merged, pkt, op, 0)
             }
             // Benign absence (e.g. a sanitized malformed stack,
             // Section 4.4): no entrypoint chain applies — only the
             // generic rules can match.
             Fetched::Missing => {
-                let generic = snap.input_generic().iter().map(|&i| (i, &input[i]));
-                self.run_seq(&ChainName::Input, generic, pkt, op, 0)
+                let generic = snap.input_generic().iter().copied();
+                self.run_seq(&ChainName::Input, input, generic, pkt, op, 0)
             }
             // Degraded path: without a trusted entrypoint the
             // partition cannot be consulted, so walk the *whole*
@@ -1198,7 +1211,7 @@ impl<'a> Invocation<'a> {
             // policy decide.
             Fetched::Failed(_) => {
                 self.degraded = true;
-                self.run_seq(&ChainName::Input, input.iter().enumerate(), pkt, op, 0)
+                self.run_seq(&ChainName::Input, input, 0..input.len(), pkt, op, 0)
             }
         }
     }
@@ -1211,13 +1224,17 @@ impl<'a> Invocation<'a> {
         depth: u32,
     ) -> Option<EvalDecision> {
         let rules = self.snap.chain(chain);
-        self.run_seq(chain, rules.iter().enumerate(), pkt, op, depth)
+        self.run_seq(chain, rules, 0..rules.len(), pkt, op, depth)
     }
 
+    /// Walks the rules of `rules` at `indices` (ascending) in order.
+    /// The `-o` selector is tested here, from the chain's op column,
+    /// and nowhere else.
     fn run_seq(
         &mut self,
         chain: &ChainName,
-        rules: impl Iterator<Item = (usize, &'a Rule)>,
+        rules: &'a Chain,
+        indices: impl Iterator<Item = usize>,
         pkt: &mut Packet<'_>,
         op: LsmOperation,
         depth: u32,
@@ -1226,15 +1243,29 @@ impl<'a> Invocation<'a> {
         // the per-process STATE dictionary carries all cross-invocation
         // state, so traversal itself is re-entrant (Section 5.1).
         const MAX_DEPTH: u32 = 16;
-        for (index, rule) in rules {
+        for index in indices {
             self.hops += 1;
-            self.metrics.bump_rules();
-            self.metrics.rule_evaluated(chain, index);
-            let eval = self.rule_matches(rule, pkt, op, chain);
+            let op_ok = rules.op_admits(index, op);
+            // The reject path: with nobody recording per-rule detail or
+            // TRACE hops, an op mismatch never loads the rule.
+            if !op_ok && !self.detail && pkt.trace_clock().is_none() {
+                continue;
+            }
+            let rule = &rules[index];
+            if self.detail {
+                self.metrics.rule_evaluated(chain, index);
+            }
+            let eval = if op_ok {
+                self.rule_matches(rule, pkt, chain)
+            } else {
+                RuleEval::NoMatch
+            };
             let fired = !matches!(eval, RuleEval::NoMatch);
             if fired {
                 rule.bump_hits();
-                self.metrics.rule_hit(chain, index);
+                if self.detail {
+                    self.metrics.rule_hit(chain, index);
+                }
                 if matches!(rule.target, Target::Trace) && matches!(eval, RuleEval::Match) {
                     pkt.start_trace();
                 }
@@ -1302,8 +1333,7 @@ impl<'a> Invocation<'a> {
                 Target::Return => return None,
                 Target::Jump(name) => {
                     if depth < MAX_DEPTH {
-                        let sub = ChainName::parse(name);
-                        if let Some(d) = self.run_chain(&sub, pkt, op, depth + 1) {
+                        if let Some(d) = self.run_chain(name, pkt, op, depth + 1) {
                             return Some(d);
                         }
                     } else {
@@ -1489,19 +1519,10 @@ impl<'a> Invocation<'a> {
             )
     }
 
-    fn rule_matches(
-        &mut self,
-        rule: &Rule,
-        pkt: &mut Packet<'_>,
-        op: LsmOperation,
-        chain: &ChainName,
-    ) -> RuleEval {
+    /// Tests every selector but `-o`, which [`Self::run_seq`] has
+    /// already checked against the op column.
+    fn rule_matches(&mut self, rule: &Rule, pkt: &mut Packet<'_>, chain: &ChainName) -> RuleEval {
         // Cheapest selectors first so lazy context fetches stay minimal.
-        if let Some(rule_op) = rule.def.op {
-            if rule_op != op {
-                return RuleEval::NoMatch;
-            }
-        }
         if let Some(subject) = &rule.def.subject {
             if !subject.contains(pkt.env_ref().subject_sid()) {
                 return RuleEval::NoMatch;
@@ -1698,6 +1719,7 @@ mod tests {
     use super::*;
     use crate::env::{ObjectInfo, SignalInfo};
     use crate::lang::parse_rule;
+    use crate::metrics::ChainSnapshot;
     use crate::session::TaskSession;
     use pf_mac::ubuntu_mini;
     use pf_types::{DeviceId, Gid, InodeNum, Mode, Pid, ProgramId, ResourceId, SecId, Uid};
@@ -3325,5 +3347,462 @@ mod tests {
         // The snapshot-only resolution still works — the ruleset itself
         // did not change.
         assert!(pf.attribute(&d).is_some());
+    }
+
+    #[test]
+    fn errors_only_sampling_keeps_only_error_outcomes() {
+        use LsmOperation::{FileOpen, FileRead, FileWrite};
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
+        install(
+            &pf,
+            &mut env,
+            "pftables -o FILE_WRITE -j QUOTA --limit 1 --window 1000 --exceed log",
+        );
+        install(
+            &pf,
+            &mut env,
+            "pftables -p /usr/bin/apache2 -i 0x200 -o FILE_READ --ctx-missing skip -j DROP",
+        );
+        pf.set_sampling(SamplingMode::ErrorsOnly);
+        pf.evaluate(&mut env, FileRead); // clean allow
+        pf.evaluate(&mut env, FileOpen); // deny
+        pf.evaluate(&mut env, FileWrite); // quota granted: clean
+        pf.evaluate(&mut env, FileWrite); // quota exceeded, logged
+        env.fail_unwind = true;
+        pf.evaluate(&mut env, FileRead); // degraded allow
+        let kept: Vec<_> = pf
+            .events()
+            .drain()
+            .iter()
+            .map(|e| (e.op, e.verdict, e.degraded, e.throttle))
+            .collect();
+        assert_eq!(
+            kept,
+            [
+                (FileOpen, EventVerdict::Deny, false, ThrottleOutcome::None),
+                (
+                    FileWrite,
+                    EventVerdict::DefaultAllow,
+                    false,
+                    ThrottleOutcome::QuotaExceeded
+                ),
+                (
+                    FileRead,
+                    EventVerdict::DefaultAllow,
+                    true,
+                    ThrottleOutcome::None
+                ),
+            ]
+        );
+    }
+
+    /// Every enabled rung that walks rules.
+    const WALK_LEVELS: [OptLevel; 6] = [
+        OptLevel::Full,
+        OptLevel::ConCache,
+        OptLevel::LazyCon,
+        OptLevel::EptSpc,
+        OptLevel::Vcache,
+        OptLevel::RulesetC,
+    ];
+
+    /// Asserts that every chain's op column matches its rules.
+    fn assert_op_columns_fresh(pf: &ProcessFirewall) {
+        let snap = pf.base();
+        for (name, _) in snap.iter() {
+            let chain = snap.chain(name);
+            let want: Vec<u8> = chain
+                .iter()
+                .map(|r| crate::chain::op_byte(r.def.op))
+                .collect();
+            assert_eq!(chain.ops(), want, "stale op column in {}", name.as_str());
+        }
+    }
+
+    /// Evaluates `op` and checks the verdict and its attribution
+    /// (`None` for an allow), after checking every op column is fresh.
+    fn check_walk(
+        pf: &ProcessFirewall,
+        env: &mut MockEnv,
+        op: LsmOperation,
+        want: Option<(&str, usize)>,
+    ) {
+        assert_op_columns_fresh(pf);
+        let d = pf.evaluate(env, op);
+        let verdict = if want.is_some() {
+            Verdict::Deny
+        } else {
+            Verdict::Allow
+        };
+        let level = pf.config();
+        assert_eq!(d.verdict, verdict, "{level:?} {op:?}");
+        assert_eq!(
+            d.dropped_by,
+            want.map(|(c, i)| (c.to_owned(), i)),
+            "{level:?} {op:?}"
+        );
+    }
+
+    #[test]
+    fn op_column_is_rebuilt_on_every_mutation_path() {
+        use LsmOperation::{FileChmod, FileOpen, FileRead, FileUnlink, FileWrite};
+        for level in WALK_LEVELS {
+            let pf = ProcessFirewall::new(level);
+            let env = &mut MockEnv::new().with_object("tmp_t", 5, 1000);
+
+            // install (-A)
+            install(&pf, env, "pftables -A input -o FILE_WRITE -d tmp_t -j DROP");
+            check_walk(&pf, env, FileWrite, Some(("input", 0)));
+            check_walk(&pf, env, FileOpen, None);
+            // An op edit (delete_rule, then -I): the verdict follows
+            // the new op.
+            pf.delete_rule(
+                &ChainName::Input,
+                "pftables -A input -o FILE_WRITE -d tmp_t -j DROP",
+            )
+            .unwrap();
+            install(&pf, env, "pftables -I input -o FILE_OPEN -d tmp_t -j DROP");
+            check_walk(&pf, env, FileOpen, Some(("input", 0)));
+            check_walk(&pf, env, FileWrite, None);
+            pf.delete_rule(
+                &ChainName::Input,
+                "pftables -I input -o FILE_OPEN -d tmp_t -j DROP",
+            )
+            .unwrap();
+            check_walk(&pf, env, FileOpen, None);
+            // install_all: one deferred batch; the head insert shifts
+            // the appended DROP to index 1.
+            pf.install_all(
+                [
+                    "pftables -A input -o FILE_READ -d tmp_t -j DROP",
+                    "pftables -I input -o FILE_OPEN -j CONTINUE",
+                ],
+                &mut env.mac,
+                &mut env.programs,
+            )
+            .unwrap();
+            check_walk(&pf, env, FileRead, Some(("input", 1)));
+            check_walk(&pf, env, FileOpen, None);
+            // reload replaces the base, here with the DROP's op edited.
+            pf.reload(
+                [
+                    "pftables -A input -o FILE_OPEN -j CONTINUE",
+                    "pftables -A input -o FILE_CHMOD -d tmp_t -j DROP",
+                ],
+                &mut env.mac,
+                &mut env.programs,
+            )
+            .unwrap();
+            check_walk(&pf, env, FileChmod, Some(("input", 1)));
+            check_walk(&pf, env, FileRead, None);
+            // clear_rules
+            pf.clear_rules().unwrap();
+            check_walk(&pf, env, FileChmod, None);
+            // User chains: -N, then -A into it; then an op edit there.
+            install(&pf, env, "pftables -N side");
+            install(&pf, env, "pftables -A input -j SIDE");
+            install(&pf, env, "pftables -A side -o FILE_UNLINK -d tmp_t -j DROP");
+            check_walk(&pf, env, FileUnlink, Some(("side", 0)));
+            check_walk(&pf, env, FileOpen, None);
+            let side = ChainName::User("side".into());
+            pf.delete_rule(&side, "pftables -A side -o FILE_UNLINK -d tmp_t -j DROP")
+                .unwrap();
+            install(&pf, env, "pftables -A side -o FILE_OPEN -d tmp_t -j DROP");
+            check_walk(&pf, env, FileOpen, Some(("side", 0)));
+            check_walk(&pf, env, FileUnlink, None);
+        }
+    }
+
+    /// A mixed-op base: jump chains (with RETURN), entrypoint-bound
+    /// rules, LOG, `--ctx-missing` overrides, and a STATE-gated TRACE
+    /// rule at the head that arms tracing only when key 0x7 is set.
+    const OBSERVED_BASE: &[&str] = &[
+        "pftables -A input -m STATE --key 0x7 --cmp 1 -j TRACE",
+        "pftables -A input -o FILE_WRITE -d etc_t -j DROP",
+        "pftables -A input -o FILE_OPEN -j LOG --tag open",
+        "pftables -A input -p /usr/bin/apache2 -i 0x100 -o FILE_OPEN -d etc_t -j DROP",
+        "pftables -A input -p /bin/other -i 0x200 -o FILE_OPEN -j DROP",
+        "pftables -A input -o FILE_READ -j SIDE",
+        "pftables -A input -o FILE_OPEN -d lib_t --ctx-missing skip -j DROP",
+        "pftables -A input -o FILE_WRITE -d tmp_t --ctx-missing match -j DROP",
+        "pftables -A input -o FILE_READ -d tmp_t -j ACCEPT",
+        "pftables -A input -o FILE_EXEC -d tmp_t --ctx-missing drop -j DROP",
+        "pftables -A input -p /usr/bin/apache2 -i 0x100 -o FILE_UNLINK -j LOG --tag unlink",
+        "pftables -A side -o FILE_WRITE -j DROP",
+        "pftables -A side -o FILE_READ -d lib_t -j DROP",
+        "pftables -A side -o FILE_READ -d etc_t -j RETURN",
+        "pftables -A side -j CONTINUE",
+    ];
+
+    /// One hop of a TRACE stream, minus its timestamp.
+    type Hop = (String, usize, bool, &'static str, bool);
+
+    /// Verdict, attribution and degraded flag of one invocation.
+    type Outcome = (Verdict, Option<(String, usize)>, bool);
+
+    /// What one observed run of [`OBSERVED_BASE`] produced.
+    struct ObservedRun {
+        decisions: Vec<Outcome>,
+        rules_evaluated: u64,
+        chains: Vec<(ChainName, ChainSnapshot)>,
+        hops: Vec<Hop>,
+    }
+
+    fn observed_run(level: OptLevel, detail: bool, trace: bool) -> ObservedRun {
+        let pf = ProcessFirewall::new(level);
+        let mut env = MockEnv::new();
+        pf.install_all(
+            OBSERVED_BASE.iter().copied(),
+            &mut env.mac,
+            &mut env.programs,
+        )
+        .unwrap();
+        pf.metrics().set_detailed(detail);
+        let ops = [
+            LsmOperation::FileOpen,
+            LsmOperation::FileWrite,
+            LsmOperation::FileRead,
+            LsmOperation::FileExec,
+            LsmOperation::FileUnlink,
+        ];
+        let mut decisions = Vec::new();
+        for op in ops {
+            for (label, ino) in [("tmp_t", 5), ("lib_t", 6), ("etc_t", 7)] {
+                for (fail_object, fail_unwind) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let mut env = MockEnv {
+                        fail_object,
+                        fail_unwind,
+                        ..MockEnv::new().with_object(label, ino, 1000)
+                    };
+                    if trace {
+                        env.state.insert(0x7, 1);
+                    }
+                    let d = pf.evaluate(&mut env, op);
+                    decisions.push((d.verdict, d.dropped_by, d.degraded));
+                }
+            }
+        }
+        let m = pf.metrics();
+        let chains: Vec<(ChainName, ChainSnapshot)> = m
+            .chains_seen()
+            .into_iter()
+            .filter_map(|c| m.chain_snapshot(&c).map(|s| (c, s)))
+            .collect();
+        let hops = pf
+            .drain_trace()
+            .into_iter()
+            .map(|e| (e.chain, e.rule_index, e.matched, e.target, e.degraded))
+            .collect();
+        ObservedRun {
+            decisions,
+            rules_evaluated: m.rules_evaluated(),
+            chains,
+            hops,
+        }
+    }
+
+    #[test]
+    fn observation_never_changes_the_walk() {
+        for level in WALK_LEVELS {
+            let plain = observed_run(level, false, false);
+            let detail = observed_run(level, true, false);
+            let traced = observed_run(level, false, true);
+            let both = observed_run(level, true, true);
+            let n = plain.decisions.len() as u64;
+            assert!(plain.decisions.iter().any(|d| d.0 == Verdict::Deny));
+            assert!(plain.decisions.iter().any(|d| d.2), "some walks degrade");
+            for run in [&detail, &traced, &both] {
+                assert_eq!(run.decisions, plain.decisions, "{level:?}");
+                assert_eq!(run.rules_evaluated, plain.rules_evaluated, "{level:?}");
+            }
+            assert!(plain.chains.is_empty() && traced.chains.is_empty());
+            assert!(plain.hops.is_empty() && detail.hops.is_empty());
+
+            // Per-rule detail: identical with TRACE armed, except that
+            // the TRACE rule itself fires once per invocation. Every
+            // visited rule is recorded, so the counts sum to the total.
+            let mut armed = both.chains.clone();
+            let input = &mut armed
+                .iter_mut()
+                .find(|(c, _)| *c == ChainName::Input)
+                .unwrap()
+                .1;
+            assert_eq!(input.hits[0], n, "{level:?}");
+            input.hits[0] = 0;
+            assert_eq!(armed, detail.chains, "{level:?}");
+            let recorded: u64 = detail
+                .chains
+                .iter()
+                .flat_map(|(_, s)| s.evaluated.iter())
+                .sum();
+            assert_eq!(recorded, plain.rules_evaluated, "{level:?}");
+
+            // TRACE hops: the same stream with and without detail, one
+            // hop per visited rule (the TRACE rule heads every walk).
+            assert_eq!(traced.hops, both.hops, "{level:?}");
+            assert_eq!(traced.hops.len() as u64, plain.rules_evaluated, "{level:?}");
+            for (chain, snap) in &detail.chains {
+                for (i, &evals) in snap.evaluated.iter().enumerate() {
+                    let traced_evals = traced
+                        .hops
+                        .iter()
+                        .filter(|h| h.0 == chain.as_str() && h.1 == i)
+                        .count() as u64;
+                    assert_eq!(traced_evals, evals, "{level:?} {chain:?}[{i}]");
+                }
+            }
+        }
+    }
+
+    /// Runs `op` through a fresh firewall holding `lines`, returning the
+    /// decision and the `rules_evaluated` it published. With `detail`
+    /// on, also checks the total against the per-rule counters.
+    fn counted_walk(
+        level: OptLevel,
+        lines: &[&str],
+        env: &mut MockEnv,
+        ops: &[LsmOperation],
+        detail: bool,
+    ) -> Vec<(EvalDecision, u64)> {
+        let pf = ProcessFirewall::new(level);
+        pf.install_all(lines.iter().copied(), &mut env.mac, &mut env.programs)
+            .unwrap();
+        pf.metrics().set_detailed(detail);
+        let mut out = Vec::new();
+        for &op in ops {
+            let before = pf.metrics().rules_evaluated();
+            let d = pf.evaluate(env, op);
+            out.push((d, pf.metrics().rules_evaluated() - before));
+        }
+        if detail {
+            let m = pf.metrics();
+            let recorded: u64 = m
+                .chains_seen()
+                .iter()
+                .filter_map(|c| m.chain_snapshot(c))
+                .flat_map(|s| s.evaluated)
+                .sum();
+            assert_eq!(recorded, m.rules_evaluated(), "{level:?} {lines:?}");
+        }
+        out
+    }
+
+    /// One early-exit scenario: a base, whether the object fetch
+    /// fails, and per-invocation rule counts on the FULL walk with the
+    /// verdicts expected at every level.
+    struct ExitCase<'a> {
+        lines: &'a [&'a str],
+        fail_object: bool,
+        full_counts: &'a [u64],
+        verdicts: &'a [Verdict],
+    }
+
+    #[test]
+    fn rules_evaluated_is_exact_across_early_exits() {
+        use LsmOperation::FileOpen;
+        let head = "pftables -A input -o FILE_WRITE -j DROP";
+        let cases = [
+            // DROP at index 1.
+            ExitCase {
+                lines: &[
+                    head,
+                    "pftables -A input -o FILE_OPEN -d tmp_t -j DROP",
+                    "pftables -A input -j DROP",
+                ],
+                fail_object: false,
+                full_counts: &[2],
+                verdicts: &[Verdict::Deny],
+            },
+            // ACCEPT at index 1.
+            ExitCase {
+                lines: &[
+                    head,
+                    "pftables -A input -o FILE_OPEN -j ACCEPT",
+                    "pftables -A input -j DROP",
+                ],
+                fail_object: false,
+                full_counts: &[2],
+                verdicts: &[Verdict::Allow],
+            },
+            // RETURN out of a jump chain, then the caller continues.
+            ExitCase {
+                lines: &[
+                    head,
+                    "pftables -A input -o FILE_OPEN -j SUB",
+                    "pftables -A input -o FILE_OPEN -d lib_t -j DROP",
+                    "pftables -A sub -o FILE_OPEN -j RETURN",
+                    "pftables -A sub -j DROP",
+                ],
+                fail_object: false,
+                full_counts: &[4],
+                verdicts: &[Verdict::Allow],
+            },
+            // FailDrop: the object fetch fails under a fail-closed DROP.
+            ExitCase {
+                lines: &[
+                    head,
+                    "pftables -A input -o FILE_OPEN -d tmp_t -j DROP",
+                    "pftables -A input -j DROP",
+                ],
+                fail_object: true,
+                full_counts: &[2],
+                verdicts: &[Verdict::Deny],
+            },
+            // Jump depth exceeded: the jump plus 16 nested visits, then
+            // the caller's last rule.
+            ExitCase {
+                lines: &[
+                    "pftables -A input -o FILE_OPEN -j LOOPY",
+                    "pftables -A loopy -o FILE_OPEN -j LOOPY",
+                    head,
+                ],
+                fail_object: false,
+                full_counts: &[18],
+                verdicts: &[Verdict::Allow],
+            },
+            // Throttle: the first access is granted and walks on; the
+            // second is denied at the QUOTA rule.
+            ExitCase {
+                lines: &[
+                    head,
+                    "pftables -A input -o FILE_OPEN -j QUOTA --limit 1 --window 1000",
+                    "pftables -A input -o FILE_OPEN -d lib_t -j DROP",
+                ],
+                fail_object: false,
+                full_counts: &[3, 2],
+                verdicts: &[Verdict::Allow, Verdict::Deny],
+            },
+        ];
+        for ExitCase {
+            lines,
+            fail_object,
+            full_counts,
+            verdicts,
+        } in cases
+        {
+            let ops = vec![FileOpen; full_counts.len()];
+            for level in WALK_LEVELS {
+                let mut runs = Vec::new();
+                for detail in [false, true] {
+                    let mut env = MockEnv {
+                        fail_object,
+                        ..MockEnv::new().with_object("tmp_t", 5, 1000)
+                    };
+                    runs.push(counted_walk(level, lines, &mut env, &ops, detail));
+                }
+                let counts: Vec<u64> = runs[0].iter().map(|(_, n)| *n).collect();
+                let detail_counts: Vec<u64> = runs[1].iter().map(|(_, n)| *n).collect();
+                assert_eq!(counts, detail_counts, "{level:?} {lines:?}");
+                let got: Vec<Verdict> = runs[0].iter().map(|(d, _)| d.verdict).collect();
+                assert_eq!(got, verdicts, "{level:?} {lines:?}");
+                if level == OptLevel::Full {
+                    assert_eq!(counts, full_counts, "{lines:?}");
+                }
+            }
+        }
     }
 }

@@ -379,10 +379,20 @@ impl DecisionEvent {
     /// `true` for the outcomes `errors-only` sampling keeps: denials,
     /// degraded decisions, and throttle rejections.
     pub fn is_error(&self) -> bool {
-        self.verdict == EventVerdict::Deny
-            || self.degraded
+        Self::is_error_outcome(self.verdict, self.degraded, self.throttle)
+    }
+
+    /// [`Self::is_error`] from the outcome alone, so the engine can
+    /// skip building an event `errors-only` sampling would discard.
+    pub fn is_error_outcome(
+        verdict: EventVerdict,
+        degraded: bool,
+        throttle: ThrottleOutcome,
+    ) -> bool {
+        verdict == EventVerdict::Deny
+            || degraded
             || matches!(
-                self.throttle,
+                throttle,
                 ThrottleOutcome::RateLimited | ThrottleOutcome::QuotaExceeded
             )
     }

@@ -652,7 +652,7 @@ fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
             })
         }
         // Any other name jumps to a user chain (e.g. `-j SIGNAL_CHAIN`).
-        other => Ok(Target::Jump(other.to_ascii_lowercase())),
+        other => Ok(Target::Jump(ChainName::parse(other))),
     }
 }
 
@@ -767,7 +767,7 @@ pub fn render_rule(rule: &Rule, chain: &ChainName, mac: &MacPolicy, programs: &I
         Target::Return => out.push_str(" -j RETURN"),
         Target::Trace => out.push_str(" -j TRACE"),
         Target::Jump(name) => {
-            let _ = write!(out, " -j {name}");
+            let _ = write!(out, " -j {}", name.as_str());
         }
         Target::StateSet { key, value } => {
             let _ = write!(out, " -j STATE --set --key 0x{key:x} --value {value}");
@@ -909,7 +909,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r9.op, RuleOp::InsertHead(ChainName::Input));
-        assert_eq!(r9.rule.target, Target::Jump("signal_chain".into()));
+        assert_eq!(
+            r9.rule.target,
+            Target::Jump(ChainName::User("signal_chain".into()))
+        );
 
         let r10 = parse_rule(
             "pftables -I signal_chain -m SIGNAL_MATCH -m STATE --key 'sig' --cmp 1 -j DROP",
@@ -1048,6 +1051,21 @@ mod tests {
         let p = parse_rule("pftables -o FILE_OPEN -j TRACE", &mut mac, &mut progs).unwrap();
         assert_eq!(p.rule.target, Target::Trace);
         assert!(!p.rule.target.is_terminal());
+    }
+
+    /// A jump renders its target as the lowercase chain name, for user
+    /// and built-in chains alike.
+    #[test]
+    fn jump_targets_render_as_lowercase_chain_names() {
+        let (mut mac, mut progs) = setup();
+        for (line, want) in [
+            ("pftables -o FILE_OPEN -j SIGNAL_CHAIN", " -j signal_chain"),
+            ("pftables -o FILE_OPEN -j SyscallBegin", " -j syscallbegin"),
+        ] {
+            let p = parse_rule(line, &mut mac, &mut progs).unwrap();
+            let r = render_rule(&p.rule, &ChainName::Input, &mac, &progs);
+            assert!(r.ends_with(want), "`{line}` rendered as `{r}`");
+        }
     }
 
     /// parse → render → parse must yield an equal rule, and a second

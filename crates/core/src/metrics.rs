@@ -658,9 +658,11 @@ impl Metrics {
         self.invocations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Publishes one walk's rule count; the engine calls it once per
+    /// invocation, after the walk returns.
     #[inline]
-    pub(crate) fn bump_rules(&self) {
-        self.rules_evaluated.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn add_rules(&self, n: u64) {
+        self.rules_evaluated.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]
@@ -789,10 +791,7 @@ impl Metrics {
 
     #[cold]
     fn rule_throttled_slow(&self, chain: &ChainName, index: usize) {
-        let mut chains = self.lock_chain_shard();
-        let c = chains.entry(chain.clone()).or_default();
-        c.ensure(index);
-        c.throttled[index] += 1;
+        self.with_chain_counters(chain, index, |c| c.throttled[index] += 1);
     }
 
     // --- legacy accessors (kept from `PfStats`) ---
@@ -944,9 +943,10 @@ impl Metrics {
 
     // --- per-rule / per-chain counters ---
 
-    // The per-rule recorders run once per rule scanned — the hottest
-    // site in the engine. Keep the detailed-off path to one inlined
-    // branch and push the map lookup out of line.
+    // The per-rule recorders run for each rule the walk loads while
+    // the detail layer is on (the engine reads the flag once per
+    // invocation). Keep the gate inlined and the map lookup out of
+    // line.
     #[inline]
     pub(crate) fn rule_evaluated(&self, chain: &ChainName, index: usize) {
         if self.detailed() {
@@ -956,10 +956,7 @@ impl Metrics {
 
     #[cold]
     fn rule_evaluated_slow(&self, chain: &ChainName, index: usize) {
-        let mut chains = self.lock_chain_shard();
-        let c = chains.entry(chain.clone()).or_default();
-        c.ensure(index);
-        c.evaluated[index] += 1;
+        self.with_chain_counters(chain, index, |c| c.evaluated[index] += 1);
     }
 
     #[inline]
@@ -971,10 +968,25 @@ impl Metrics {
 
     #[cold]
     fn rule_hit_slow(&self, chain: &ChainName, index: usize) {
+        self.with_chain_counters(chain, index, |c| c.hits[index] += 1);
+    }
+
+    /// Runs `f` on this thread's shard of `chain`'s counters, sized to
+    /// hold `index`. The chain name is cloned only the first time the
+    /// shard sees the chain, so recording never allocates once warm.
+    fn with_chain_counters(
+        &self,
+        chain: &ChainName,
+        index: usize,
+        f: impl FnOnce(&mut ChainCounters),
+    ) {
         let mut chains = self.lock_chain_shard();
-        let c = chains.entry(chain.clone()).or_default();
+        let c = match chains.get_mut(chain) {
+            Some(c) => c,
+            None => chains.entry(chain.clone()).or_default(),
+        };
         c.ensure(index);
-        c.hits[index] += 1;
+        f(c);
     }
 
     /// Snapshot of one chain's per-rule counters, if any were recorded:
@@ -1425,8 +1437,8 @@ mod tests {
     fn legacy_counters_bump_and_reset() {
         let m = Metrics::new();
         m.bump_invocations();
-        m.bump_rules();
-        m.bump_rules();
+        m.add_rules(1);
+        m.add_rules(1);
         m.bump_drops();
         assert_eq!(m.invocations(), 1);
         assert_eq!(m.rules_evaluated(), 2);

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use pf_types::{LabelSet, LsmOperation, ProgramId};
 
+use crate::chain::ChainName;
 use crate::context::CtxField;
 use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleCell};
 use crate::value::ValueExpr;
@@ -188,8 +189,9 @@ pub enum Target {
     Continue,
     /// Leave the current chain (top level: default policy applies).
     Return,
-    /// Jump into a user-defined chain.
-    Jump(String),
+    /// Jump into a user-defined chain. The name is resolved at parse
+    /// time, so following the jump never allocates.
+    Jump(ChainName),
     /// `-j STATE --set --key K --value V`: record state, continue.
     StateSet {
         /// Dictionary key.
@@ -519,7 +521,7 @@ mod tests {
     #[test]
     fn terminality() {
         assert!(Target::Drop.is_terminal());
-        assert!(Target::Jump("x".into()).is_terminal());
+        assert!(Target::Jump(ChainName::User("x".into())).is_terminal());
         assert!(!Target::Trace.is_terminal());
         assert!(!Target::Log { tag: String::new() }.is_terminal());
         assert!(!Target::StateSet {
