@@ -2,8 +2,9 @@
 //!
 //! Runs one pf-attacks workload under the full rule base (EPTSPC) with
 //! detailed metrics enabled and decision-event sampling at `always`,
-//! then prints the counter/histogram report: summary counters,
-//! per-operation invocation counts, per-rule evaluated/hit counters,
+//! then prints the counter/histogram report: every always-on counter
+//! with a health line from `Metrics::check`, the per-operation splits,
+//! per-rule evaluated/hit counters,
 //! per-context-field fetch statistics, the evaluation / context-fetch
 //! latency histograms, the decision-event plane tallies, and live
 //! RATELIMIT/QUOTA bucket occupancy.
@@ -21,7 +22,9 @@ use std::collections::HashMap;
 use pf_attacks::workloads::{apache_build, boot, setup_build_tree, web_serve};
 use pf_bench::{world_at, RuleSet};
 use pf_core::events::EventKind;
-use pf_core::metrics::Histogram;
+use pf_core::metrics::{
+    FieldFamily, Histogram, Latency, OpFamily, FIELD_FAMILIES, LATENCY, OP_FAMILIES,
+};
 use pf_core::{CtxField, OptLevel, SamplingMode};
 use pf_types::LsmOperation;
 
@@ -77,91 +80,41 @@ fn report(k: &pf_os::Kernel, workload: &str) {
     println!("pfstat: workload `{workload}` under the full rule base (EPTSPC)");
     println!();
 
+    // Every always-on counter, straight from the descriptor table.
     println!("== summary counters ==");
-    println!("invocations      {}", m.invocations());
-    println!("rules evaluated  {}", m.rules_evaluated());
-    println!(
-        "ctx fetches      {} ({} cache hits)",
-        m.ctx_fetches(),
-        m.cache_hits()
-    );
-    println!("drops            {}", m.drops());
-    println!("accepts          {}", m.accepts());
-    println!("default allows   {}", m.default_allows());
-    println!(
-        "vcache           {} hits / {} misses / {} uncacheable",
-        m.vcache_hits(),
-        m.vcache_misses(),
-        m.vcache_uncacheable()
-    );
-    println!(
-        "throttled        {} ratelimit / {} quota",
-        m.ratelimit_throttled(),
-        m.quota_exceeded()
-    );
-    println!(
-        "origin           {} transitions / {} widened / {} vcache invalidations",
-        m.origin_transitions(),
-        m.origin_widened(),
-        m.origin_vcache_invalidations()
-    );
-    println!();
-
-    println!("== per-operation invocations ==");
-    let mut ops: Vec<(u64, LsmOperation)> = LsmOperation::ALL
-        .iter()
-        .map(|&op| (m.op_invocations(op), op))
-        .filter(|(n, _)| *n > 0)
-        .collect();
-    ops.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.name().cmp(b.1.name())));
-    for (n, op) in &ops {
-        println!("{:<28} {n}", op.name());
+    for (d, v) in m.counters() {
+        println!("{:<28} {v:>12}  {}", d.json, d.help);
     }
-    println!();
-
-    // Per-operation verdict-cache splits (detail layer; zero rows only
-    // when the run never exercised VCACHE).
-    let mut vc_rows: Vec<(LsmOperation, u64, u64, u64)> = LsmOperation::ALL
-        .iter()
-        .map(|&op| {
-            let (h, mi, u) = m.vcache_op_counts(op);
-            (op, h, mi, u)
-        })
-        .filter(|&(_, h, mi, u)| h + mi + u > 0)
-        .collect();
-    vc_rows.sort_by_key(|r| std::cmp::Reverse(r.1 + r.2 + r.3));
-    println!("== per-operation vcache splits ==");
-    if vc_rows.is_empty() {
-        println!("(no vcache activity)");
+    let violated = m.check();
+    if violated.is_empty() {
+        println!("health: ok (every counter invariant holds)");
     } else {
-        println!(
-            "{:<28} {:>10} {:>10} {:>12}",
-            "operation", "hits", "misses", "uncacheable"
-        );
-        for (op, h, mi, u) in &vc_rows {
-            println!("{:<28} {h:>10} {mi:>10} {u:>12}", op.name());
+        for v in &violated {
+            println!("health: VIOLATED {v}");
         }
     }
     println!();
 
-    // Per-operation throttle splits (RATELIMIT / QUOTA rejections).
-    let mut th_rows: Vec<(LsmOperation, u64, u64)> = LsmOperation::ALL
+    // Per-operation splits, one column per OP_FAMILIES row (detail
+    // layer), busiest operation first.
+    let mut ops: Vec<(LsmOperation, [u64; OP_FAMILIES.len()])> = LsmOperation::ALL
         .iter()
-        .map(|&op| {
-            let (r, q) = m.throttle_op_counts(op);
-            (op, r, q)
-        })
-        .filter(|&(_, r, q)| r + q > 0)
+        .map(|&op| (op, OpFamily::ALL.map(|f| m.op_count(f, op))))
+        .filter(|(_, row)| row.iter().any(|&n| n > 0))
         .collect();
-    th_rows.sort_by_key(|r| std::cmp::Reverse(r.1 + r.2));
-    println!("== per-operation throttle splits ==");
-    if th_rows.is_empty() {
-        println!("(no throttled accesses)");
-    } else {
-        println!("{:<28} {:>10} {:>10}", "operation", "ratelimit", "quota");
-        for (op, r, q) in &th_rows {
-            println!("{:<28} {r:>10} {q:>10}", op.name());
+    ops.sort_by(|a, b| b.1[0].cmp(&a.1[0]).then(a.0.name().cmp(b.0.name())));
+    println!("== per-operation splits ==");
+    print!("{:<28}", "operation");
+    for d in OP_FAMILIES {
+        print!(" {:>w$}", d.json, w = d.json.len().max(8));
+    }
+    println!();
+    for (op, row) in &ops {
+        print!("{:<28}", op.name());
+        for (n, d) in row.iter().zip(OP_FAMILIES) {
+            print!(" {n:>w$}", w = d.json.len().max(8));
         }
+        println!();
     }
     println!();
 
@@ -201,25 +154,27 @@ fn report(k: &pf_os::Kernel, workload: &str) {
     println!();
 
     println!("== context fields ==");
-    println!(
-        "{:<16} {:>10} {:>10} {:>10}",
-        "field", "fetches", "hits", "misses"
-    );
+    print!("{:<16}", "field");
+    for d in FIELD_FAMILIES {
+        print!(" {:>10}", d.json);
+    }
+    println!();
     for field in CtxField::ALL {
-        let (fetches, hits, misses) = m.field_counts(field);
-        if fetches + hits + misses > 0 {
-            println!(
-                "{:<16} {fetches:>10} {hits:>10} {misses:>10}",
-                field.cname()
-            );
+        let row = FieldFamily::ALL.map(|f| m.field_count(f, field));
+        if row.iter().any(|&n| n > 0) {
+            print!("{:<16}", field.cname());
+            for n in row {
+                print!(" {n:>10}");
+            }
+            println!();
         }
     }
     println!();
 
-    print_histogram("hook evaluation latency", m.eval_latency());
-    println!();
-    print_histogram("context fetch latency", m.fetch_latency());
-    println!();
+    for (d, which) in LATENCY.iter().zip(Latency::ALL) {
+        print_histogram(d.json, m.latency(which));
+        println!();
+    }
 
     // Decision-event plane: drain what the workload emitted and tally
     // kinds, verdicts, and sampled-decision latency.
@@ -296,11 +251,6 @@ fn report(k: &pf_os::Kernel, workload: &str) {
                 println!("  (no active buckets)");
             }
             for slot in &occ.slots {
-                let value = if occ.kind == "RATELIMIT" {
-                    slot.tokens()
-                } else {
-                    slot.count()
-                };
                 println!(
                     "  key {:#018x}  tick {:>8}  {} {:>8}{}",
                     slot.key,
@@ -310,7 +260,7 @@ fn report(k: &pf_os::Kernel, workload: &str) {
                     } else {
                         "count "
                     },
-                    value,
+                    occ.value(slot),
                     if slot.spill { "  [spill]" } else { "" }
                 );
             }
@@ -319,7 +269,7 @@ fn report(k: &pf_os::Kernel, workload: &str) {
 }
 
 fn print_histogram(title: &str, h: Histogram) {
-    println!("== {title} (ns) ==");
+    println!("== {title} ==");
     if h.count() == 0 {
         println!("(no samples)");
         return;

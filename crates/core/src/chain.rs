@@ -147,12 +147,6 @@ pub struct RuleBase {
     /// tracks purity per walk, so a mixed base still caches the walks
     /// that avoid its impure rules.
     statically_cacheable: bool,
-    /// Indices of *every* entrypoint-bound input rule, in chain order.
-    /// Scanned when the entrypoint fetch *fails*: without a trusted
-    /// entrypoint the partition cannot be consulted, so each bound
-    /// rule's `--ctx-missing` policy must get its say (Section 4.3's
-    /// soundness argument assumes a successful, possibly-absent fetch).
-    input_entrypoint_all: Vec<usize>,
     /// Chain-level `--ctx-missing` defaults (`pftables -P chain
     /// --ctx-missing ...`), consulted when a rule has no override.
     ctx_defaults: BTreeMap<ChainName, CtxPolicy>,
@@ -177,7 +171,6 @@ impl Default for RuleBase {
             chains: BTreeMap::new(),
             input_generic: Vec::new(),
             input_by_ept: HashMap::new(),
-            input_entrypoint_all: Vec::new(),
             statically_cacheable: true,
             ctx_defaults: BTreeMap::new(),
             input_dispatch: CompiledDispatch::default(),
@@ -204,8 +197,10 @@ impl RuleBase {
         self.mark_changed();
     }
 
-    /// Deletes the first rule in `chain` whose text equals `text`.
+    /// Deletes the first rule in `chain` whose spec (its text without
+    /// the `-A`/`-I`/`-D` chain command) equals `text`'s.
     pub fn delete(&mut self, chain: &ChainName, text: &str) -> PfResult<()> {
+        let spec = crate::lang::rule_spec(text);
         let rules = &mut self
             .chains
             .get_mut(chain)
@@ -213,7 +208,7 @@ impl RuleBase {
             .rules;
         let pos = rules
             .iter()
-            .position(|r| r.text == text)
+            .position(|r| crate::lang::rule_spec(&r.text) == spec)
             .ok_or_else(|| PfError::RuleError(format!("no matching rule in {chain:?}")))?;
         rules.remove(pos);
         self.mark_changed();
@@ -382,7 +377,6 @@ impl RuleBase {
         }
         self.input_generic.clear();
         self.input_by_ept.clear();
-        self.input_entrypoint_all.clear();
         self.statically_cacheable = self.compute_statically_cacheable();
         let Some(input) = self.chains.get(&ChainName::Input) else {
             self.input_dispatch = CompiledDispatch::default();
@@ -391,10 +385,7 @@ impl RuleBase {
         self.input_dispatch = CompiledDispatch::compile(input);
         for (i, rule) in input.iter().enumerate() {
             match rule.def.entrypoint() {
-                Some(key) => {
-                    self.input_by_ept.entry(key).or_default().push(i);
-                    self.input_entrypoint_all.push(i);
-                }
+                Some(key) => self.input_by_ept.entry(key).or_default().push(i),
                 None => self.input_generic.push(i),
             }
         }
@@ -445,12 +436,6 @@ impl RuleBase {
     /// Number of distinct entrypoint-specific chains.
     pub fn entrypoint_chain_count(&self) -> usize {
         self.input_by_ept.len()
-    }
-
-    /// Indices of every entrypoint-bound input rule, in chain order —
-    /// the degraded-path scan used when the entrypoint fetch fails.
-    pub fn input_entrypoint_all(&self) -> &[usize] {
-        &self.input_entrypoint_all
     }
 
     /// The compiled RULESETC dispatch tables for the input chain.

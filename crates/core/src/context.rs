@@ -11,7 +11,7 @@ use pf_types::{ProgramId, SecId};
 
 use crate::config::PfConfig;
 use crate::env::{EvalEnv, Fetched};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, FieldFamily, Metrics};
 
 /// One retrievable context field.
 ///
@@ -260,8 +260,8 @@ impl<'e> Packet<'e> {
         self.mark(CtxField::Entrypoint);
         if self.config.context_caching {
             if self.env.cache_get(CACHE_EPT_MISSING).is_some() {
-                metrics.bump_cache_hits();
-                metrics.field_hit(CtxField::Entrypoint);
+                metrics.bump(Counter::CacheHits);
+                metrics.field_bump(FieldFamily::Hits, CtxField::Entrypoint);
                 self.entrypoint = Fetched::Missing;
                 return self.entrypoint;
             }
@@ -269,13 +269,13 @@ impl<'e> Packet<'e> {
                 self.env.cache_get(CACHE_EPT_PROG),
                 self.env.cache_get(CACHE_EPT_PC),
             ) {
-                metrics.bump_cache_hits();
-                metrics.field_hit(CtxField::Entrypoint);
+                metrics.bump(Counter::CacheHits);
+                metrics.field_bump(FieldFamily::Hits, CtxField::Entrypoint);
                 self.entrypoint = Fetched::Value((pf_types::InternId(prog as u32), pc));
                 return self.entrypoint;
             }
         }
-        metrics.bump_ctx_fetches();
+        metrics.bump(Counter::CtxFetches);
         let t0 = metrics.timer();
         let ep = self.env.try_unwind_entrypoint();
         note(metrics, CtxField::Entrypoint, t0, &ep);
@@ -299,7 +299,7 @@ impl<'e> Packet<'e> {
     pub fn object_sid_value(&mut self, metrics: &Metrics) -> Fetched<SecId> {
         if self.object_sid.is_none() {
             self.mark(CtxField::ObjectSid);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_object().map(|o| o.sid);
             note(metrics, CtxField::ObjectSid, t0, &v);
@@ -312,7 +312,7 @@ impl<'e> Packet<'e> {
     pub fn resource_id_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.resource_id.is_none() {
             self.mark(CtxField::ResourceId);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_object().map(|o| o.resource.as_u64());
             note(metrics, CtxField::ResourceId, t0, &v);
@@ -325,7 +325,7 @@ impl<'e> Packet<'e> {
     pub fn dac_owner_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.dac_owner.is_none() {
             self.mark(CtxField::DacOwner);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_object().map(|o| o.owner.0 as u64);
             note(metrics, CtxField::DacOwner, t0, &v);
@@ -339,7 +339,7 @@ impl<'e> Packet<'e> {
     pub fn tgt_dac_owner_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.tgt_dac_owner.is_none() {
             self.mark(CtxField::TgtDacOwner);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_link_target_owner().map(|u| u.0 as u64);
             note(metrics, CtxField::TgtDacOwner, t0, &v);
@@ -354,7 +354,7 @@ impl<'e> Packet<'e> {
     pub fn adv_write_value(&mut self, metrics: &Metrics) -> Fetched<bool> {
         if self.adv_write.is_none() {
             self.mark(CtxField::AdvWrite);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let sid = self.object_sid_value(metrics);
             let t0 = metrics.timer();
             let v = sid.map(|s| self.env.mac().adversary_writable(s));
@@ -369,7 +369,7 @@ impl<'e> Packet<'e> {
     pub fn adv_read_value(&mut self, metrics: &Metrics) -> Fetched<bool> {
         if self.adv_read.is_none() {
             self.mark(CtxField::AdvRead);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let sid = self.object_sid_value(metrics);
             let t0 = metrics.timer();
             let v = sid.map(|s| self.env.mac().adversary_readable(s));
@@ -383,7 +383,7 @@ impl<'e> Packet<'e> {
     pub fn signal_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.signal_num.is_none() {
             self.mark(CtxField::SignalNum);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_signal().map(|s| s.signal.0 as u64);
             note(metrics, CtxField::SignalNum, t0, &v);
@@ -400,7 +400,7 @@ impl<'e> Packet<'e> {
     pub fn subject_origin_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.subject_origin.is_none() {
             self.mark(CtxField::SubjectOrigin);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_subject_origin();
             note(metrics, CtxField::SubjectOrigin, t0, &v);
@@ -416,7 +416,7 @@ impl<'e> Packet<'e> {
         let field = CtxField::Arg(n.min(3));
         if self.collected & (1 << field.bit()) == 0 {
             self.mark(field);
-            metrics.field_fetch(field);
+            metrics.field_bump(FieldFamily::Fetches, field);
         }
         self.env.syscall_arg(n as usize)
     }

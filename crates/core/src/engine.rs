@@ -52,7 +52,10 @@ use crate::events::{
 };
 use crate::lang::{parse_command, Command, RuleOp};
 use crate::log::{LogDrain, LogEntry, LogSink};
-use crate::metrics::{prom_label_esc, Metrics, TraceEvent};
+use crate::metrics::{
+    json_rows, prom_label_esc, prom_rows, Counter, Metrics, OpFamily, RuleFamily, TraceEvent,
+    EVENT_ROWS, LOG_ROWS,
+};
 use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleSlotState};
 use crate::rule::{CtxPolicy, MatchModule, Rule, Target};
 use crate::snapshot::{RulesetDraft, RulesetSnapshot, SharedRuleset};
@@ -124,6 +127,18 @@ pub struct ThrottleOccupancy {
     /// is individually consistent (see
     /// [`crate::ratelimit::ThrottleCell::occupancy`]).
     pub slots: Vec<ThrottleSlotState>,
+}
+
+impl ThrottleOccupancy {
+    /// A slot's gauge value: the token balance of a RATELIMIT rule, the
+    /// window grant count of a QUOTA rule.
+    pub fn value(&self, slot: &ThrottleSlotState) -> u64 {
+        u64::from(if self.kind == "RATELIMIT" {
+            slot.tokens()
+        } else {
+            slot.count()
+        })
+    }
 }
 
 // The engine is shared across simulated tasks (and real threads in the
@@ -413,8 +428,9 @@ impl ProcessFirewall {
         }
     }
 
-    /// Deletes the first rule in `chain` whose original text equals
-    /// `text` (a new snapshot generation).
+    /// Deletes the first rule in `chain` whose spec equals `text`'s:
+    /// the rule text compared without its `-A`/`-I`/`-D` chain command
+    /// (a new snapshot generation).
     pub fn delete_rule(&self, chain: &ChainName, text: &str) -> PfResult<()> {
         let span = self.control_span();
         let ((), generation) = self.shared.update(|d| d.base.delete(chain, text))?;
@@ -451,14 +467,6 @@ impl ProcessFirewall {
     /// The current snapshot generation (lock-free).
     pub fn generation(&self) -> u64 {
         self.shared.generation()
-    }
-
-    /// Engine counters and histograms (the metrics registry).
-    ///
-    /// `stats()` is the historical name; [`ProcessFirewall::metrics`] is
-    /// the same registry under its current one.
-    pub fn stats(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// The metrics-and-tracing registry.
@@ -498,12 +506,28 @@ impl ProcessFirewall {
         out
     }
 
+    /// The [`EVENT_ROWS`] values, in table order.
+    fn event_values(&self) -> [u64; EVENT_ROWS.len()] {
+        let e = &self.events;
+        [e.emitted(), e.drained(), e.dropped()]
+    }
+
+    /// The [`LOG_ROWS`] values, in table order.
+    fn log_values(&self) -> [u64; LOG_ROWS.len()] {
+        let l = &self.logs;
+        [
+            l.emitted(),
+            l.drained(),
+            l.dropped(),
+            l.len() as u64,
+            l.capacity() as u64,
+        ]
+    }
+
     /// Renders the firewall-wide Prometheus exposition: everything in
-    /// [`Metrics::render_prometheus`] plus the decision-event plane
-    /// counters, the bounded LOG sink accounting
-    /// (`pf_logs_{emitted,drained,dropped}_total` and the
-    /// `pf_logs_buffered`/`pf_logs_capacity` gauges), and live throttle
-    /// bucket occupancy.
+    /// [`Metrics::render_prometheus`] plus the [`EVENT_ROWS`] and
+    /// [`LOG_ROWS`] accounting, the active sampling mode, and live
+    /// throttle bucket occupancy.
     ///
     /// Occupancy values are gauges: token balance for RATELIMIT rules,
     /// window grant count for QUOTA rules, keyed by
@@ -512,65 +536,45 @@ impl ProcessFirewall {
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = self.metrics.render_prometheus();
-        let _ = writeln!(out, "pf_events_emitted_total {}", self.events.emitted());
-        let _ = writeln!(out, "pf_events_drained_total {}", self.events.drained());
-        let _ = writeln!(out, "pf_events_dropped_total {}", self.events.dropped());
-        let _ = writeln!(out, "pf_logs_emitted_total {}", self.logs.emitted());
-        let _ = writeln!(out, "pf_logs_drained_total {}", self.logs.drained());
-        let _ = writeln!(out, "pf_logs_dropped_total {}", self.logs.dropped());
-        let _ = writeln!(out, "pf_logs_buffered {}", self.logs.len());
-        let _ = writeln!(out, "pf_logs_capacity {}", self.logs.capacity());
+        prom_rows(&mut out, EVENT_ROWS, &self.event_values(), "");
+        prom_rows(&mut out, LOG_ROWS, &self.log_values(), "");
         out.push_str("pf_event_sampling_mode{mode=\"");
         prom_label_esc(&mut out, &self.events.sampling().render());
         out.push_str("\"} 1\n");
         for occ in self.throttle_occupancy() {
             for slot in &occ.slots {
-                let value = if occ.kind == "RATELIMIT" {
-                    slot.tokens()
-                } else {
-                    slot.count()
-                };
                 out.push_str("pf_throttle_occupancy{chain=\"");
                 prom_label_esc(&mut out, &occ.chain);
-                let _ = write!(
+                let _ = writeln!(
                     out,
-                    "\",rule=\"{}\",kind=\"{}\",key=\"",
-                    occ.index, occ.kind
+                    "\",rule=\"{}\",kind=\"{}\",key=\"{}\",spill=\"{}\"}} {}",
+                    occ.index,
+                    occ.kind,
+                    slot.key,
+                    slot.spill,
+                    occ.value(slot)
                 );
-                let _ = write!(out, "{}", slot.key);
-                let _ = writeln!(out, "\",spill=\"{}\"}} {value}", slot.spill);
             }
         }
         out
     }
 
     /// Renders the firewall-wide JSON snapshot: everything in
-    /// [`Metrics::to_json`] plus an `events` object (plane counters and
-    /// the active sampling mode), a `logs` object (bounded-sink
-    /// accounting: emitted/drained/dropped/buffered/capacity), and a
-    /// `throttle_occupancy` array with
-    /// one entry per live bucket slot (`value` is the token balance for
-    /// RATELIMIT rules, the window grant count for QUOTA rules).
+    /// [`Metrics::to_json`] plus an `events` object ([`EVENT_ROWS`] and
+    /// the active sampling mode), a `logs` object ([`LOG_ROWS`]), and a
+    /// `throttle_occupancy` array with one entry per live bucket slot
+    /// (`value` is the token balance for RATELIMIT rules, the window
+    /// grant count for QUOTA rules).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = self.metrics.to_json();
         s.pop(); // reopen the metrics object to append firewall-level keys
-        s.push_str(",\"events\":{\"emitted\":");
-        let _ = write!(s, "{}", self.events.emitted());
-        let _ = write!(s, ",\"drained\":{}", self.events.drained());
-        let _ = write!(s, ",\"dropped\":{}", self.events.dropped());
+        s.push_str(",\"events\":{");
+        json_rows(&mut s, EVENT_ROWS, &self.event_values());
         s.push_str(",\"sampling\":\"");
         crate::log::esc(&mut s, &self.events.sampling().render());
         s.push_str("\"},\"logs\":{");
-        let _ = write!(
-            s,
-            "\"emitted\":{},\"drained\":{},\"dropped\":{},\"buffered\":{},\"capacity\":{}",
-            self.logs.emitted(),
-            self.logs.drained(),
-            self.logs.dropped(),
-            self.logs.len(),
-            self.logs.capacity()
-        );
+        json_rows(&mut s, LOG_ROWS, &self.log_values());
         s.push_str("},\"throttle_occupancy\":[");
         let mut first = true;
         for occ in self.throttle_occupancy() {
@@ -579,21 +583,21 @@ impl ProcessFirewall {
                     s.push(',');
                 }
                 first = false;
-                let value = if occ.kind == "RATELIMIT" {
-                    slot.tokens()
-                } else {
-                    slot.count()
-                };
                 s.push_str("{\"chain\":\"");
                 crate::log::esc(&mut s, &occ.chain);
-                s.push_str("\",\"rule\":");
-                let _ = write!(s, "{}", occ.index);
-                let _ = write!(s, ",\"kind\":\"{}\",\"text\":\"", occ.kind);
+                let _ = write!(
+                    s,
+                    "\",\"rule\":{},\"kind\":\"{}\",\"text\":\"",
+                    occ.index, occ.kind
+                );
                 crate::log::esc(&mut s, &occ.text);
                 let _ = write!(
                     s,
-                    "\",\"key\":{},\"tick\":{},\"value\":{value},\"spill\":{}}}",
-                    slot.key, slot.tick, slot.spill
+                    "\",\"key\":{},\"tick\":{},\"value\":{},\"spill\":{}}}",
+                    slot.key,
+                    slot.tick,
+                    occ.value(slot),
+                    slot.spill
                 );
             }
         }
@@ -717,8 +721,7 @@ impl ProcessFirewall {
             d.adv_generation = adv_gen;
             return d;
         }
-        self.metrics.bump_invocations();
-        self.metrics.op_invoked(op);
+        self.metrics.bump_op(OpFamily::Invocations, op);
         let t0 = self.metrics.timer();
         // Decision-event span: with sampling off this is one relaxed
         // load and no clock read; when the gate selects the invocation
@@ -747,7 +750,7 @@ impl ProcessFirewall {
                 // so a stale generation discards the whole cache before
                 // any lookup can replay a pre-widening verdict.
                 if vc.validate_adv_generation(adv_gen) {
-                    self.metrics.bump_origin_vcache_invalidation();
+                    self.metrics.bump(Counter::OriginVcacheInvalidations);
                 }
                 // The snapshot's compile-time summary is the fast-path
                 // filter: if any reachable rule is impure, no walk can
@@ -755,22 +758,24 @@ impl ProcessFirewall {
                 // would eagerly unwind the entrypoint and fetch object
                 // context that LAZYCON would otherwise defer.
                 if !snap.statically_cacheable() {
-                    self.metrics.bump_vcache_uncacheable(op);
+                    self.metrics.bump_op(OpFamily::VcacheUncacheable, op);
                     vc_outcome = VcacheOutcome::Uncacheable;
                 } else {
                     match VerdictKey::build(&mut pkt, op, &self.metrics) {
                         Some(key) => {
                             if let Some(entry) = vc.lookup(&key) {
-                                self.metrics.bump_vcache_hit(op);
+                                self.metrics.bump_op(OpFamily::VcacheHits, op);
                                 vc_outcome = VcacheOutcome::Hit;
                                 // Hits bump the verdict counter the original
                                 // walk would have, so the partition
                                 // `drops + accepts + default_allows ==
                                 // invocations` keeps holding.
                                 match entry.kind {
-                                    VerdictKind::Drop => self.metrics.bump_drops(),
-                                    VerdictKind::Accept => self.metrics.bump_accepts(),
-                                    VerdictKind::DefaultAllow => self.metrics.bump_default_allows(),
+                                    VerdictKind::Drop => self.metrics.bump(Counter::Drops),
+                                    VerdictKind::Accept => self.metrics.bump(Counter::Accepts),
+                                    VerdictKind::DefaultAllow => {
+                                        self.metrics.bump(Counter::DefaultAllows)
+                                    }
                                 }
                                 let decision = entry.decision.clone();
                                 if let Some(log) = &entry.log {
@@ -814,7 +819,7 @@ impl ProcessFirewall {
                         // A key field *failed* to fetch: the outcome is not
                         // attributable to key context — bypass the cache.
                         None => {
-                            self.metrics.bump_vcache_uncacheable(op);
+                            self.metrics.bump_op(OpFamily::VcacheUncacheable, op);
                             vc_outcome = VcacheOutcome::Uncacheable;
                         }
                     }
@@ -844,7 +849,7 @@ impl ProcessFirewall {
         // One shared add per invocation: `hops` counts exactly the
         // rules the walk visited, early exits included.
         if hops != 0 {
-            self.metrics.add_rules(u64::from(hops));
+            self.metrics.add(Counter::RulesEvaluated, u64::from(hops));
         }
         let (mut decision, kind) = match run {
             Some(d) => {
@@ -855,7 +860,7 @@ impl ProcessFirewall {
                 (d, kind)
             }
             None => {
-                self.metrics.bump_default_allows();
+                self.metrics.bump(Counter::DefaultAllows);
                 (
                     EvalDecision::allow(snap.generation()),
                     VerdictKind::DefaultAllow,
@@ -866,8 +871,8 @@ impl ProcessFirewall {
         decision.degraded |= degraded;
         if decision.degraded {
             match decision.verdict {
-                Verdict::Deny => self.metrics.bump_degraded_drops(),
-                Verdict::Allow => self.metrics.bump_degraded_allows(),
+                Verdict::Deny => self.metrics.bump(Counter::DegradedDrops),
+                Verdict::Allow => self.metrics.bump(Counter::DegradedAllows),
             }
         }
         if decision.verdict == Verdict::Deny {
@@ -879,10 +884,10 @@ impl ProcessFirewall {
         }
         if let Some((vc, key)) = cache_ctx {
             if decision.degraded || cache_blocked {
-                self.metrics.bump_vcache_uncacheable(op);
+                self.metrics.bump_op(OpFamily::VcacheUncacheable, op);
                 vc_outcome = VcacheOutcome::Uncacheable;
             } else {
-                self.metrics.bump_vcache_miss(op);
+                self.metrics.bump_op(OpFamily::VcacheMisses, op);
                 vc_outcome = VcacheOutcome::Miss;
                 // A cacheable deny emitted exactly one log record (the
                 // DROP line: LOG targets block caching, CTXFAIL implies
@@ -1139,7 +1144,7 @@ impl<'a> Invocation<'a> {
                     // Degraded path, identical to EPTSPC's: without a
                     // trusted entrypoint no bucket can be excluded.
                     self.degraded = true;
-                    self.metrics.bump_rulesetc_fallback();
+                    self.metrics.bump(Counter::RulesetcFallback);
                     return self.run_seq(&ChainName::Input, input, 0..input.len(), pkt, op, 0);
                 }
             }
@@ -1160,14 +1165,14 @@ impl<'a> Invocation<'a> {
                     // walk re-reads the same value). Not `degraded` by
                     // itself — the rules that actually need the label
                     // will arbitrate through `--ctx-missing` as usual.
-                    self.metrics.bump_rulesetc_fallback();
+                    self.metrics.bump(Counter::RulesetcFallback);
                     return self.run_input_eptspc(pkt, op);
                 }
             }
         } else {
             None
         };
-        self.metrics.bump_rulesetc_dispatch();
+        self.metrics.bump(Counter::RulesetcDispatch);
         let mut slices: [&[usize]; 8] = [&[]; 8];
         let n = dispatch.select(op, label, ept, &mut slices);
         let merged = MergeDispatch::new(&slices[..n]);
@@ -1253,7 +1258,7 @@ impl<'a> Invocation<'a> {
             }
             let rule = &rules[index];
             if self.detail {
-                self.metrics.rule_evaluated(chain, index);
+                self.metrics.rule_bump(RuleFamily::Evaluated, chain, index);
             }
             let eval = if op_ok {
                 self.rule_matches(rule, pkt, chain)
@@ -1264,7 +1269,7 @@ impl<'a> Invocation<'a> {
             if fired {
                 rule.bump_hits();
                 if self.detail {
-                    self.metrics.rule_hit(chain, index);
+                    self.metrics.rule_bump(RuleFamily::Hits, chain, index);
                 }
                 if matches!(rule.target, Target::Trace) && matches!(eval, RuleEval::Match) {
                     pkt.start_trace();
@@ -1290,7 +1295,7 @@ impl<'a> Invocation<'a> {
                     // Fail closed: a selector's context fetch failed and
                     // the governing policy is `drop`. The deny is
                     // attributed to this rule and flagged degraded.
-                    self.metrics.bump_drops();
+                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, "CTXFAIL", "DENY");
                     return Some(EvalDecision {
                         verdict: Verdict::Deny,
@@ -1310,7 +1315,7 @@ impl<'a> Invocation<'a> {
             }
             match &rule.target {
                 Target::Drop => {
-                    self.metrics.bump_drops();
+                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, "DROP", "DENY");
                     return Some(EvalDecision {
                         verdict: Verdict::Deny,
@@ -1321,7 +1326,7 @@ impl<'a> Invocation<'a> {
                     });
                 }
                 Target::Accept => {
-                    self.metrics.bump_accepts();
+                    self.metrics.bump(Counter::Accepts);
                     if self.event_id != 0 {
                         // `as_str` avoids the `name()` allocation; only
                         // sampled invocations pay even the hash.
@@ -1340,7 +1345,7 @@ impl<'a> Invocation<'a> {
                         // The target chain never got its say: surface
                         // the truncation instead of silently pretending
                         // the traversal was complete.
-                        self.metrics.bump_jump_depth_exceeded();
+                        self.metrics.bump(Counter::JumpDepthExceeded);
                         self.degraded = true;
                         self.emit_log(pkt, op, "JUMPDEPTH", "ALLOW");
                     }
@@ -1401,7 +1406,7 @@ impl<'a> Invocation<'a> {
                 // not turn a rate limit into an unconditional allow.
                 return match self.on_ctx_failure(rule, chain) {
                     CtxPolicy::Drop => {
-                        self.metrics.bump_drops();
+                        self.metrics.bump(Counter::Drops);
                         self.emit_log(pkt, op, "CTXFAIL", "DENY");
                         Some(EvalDecision {
                             verdict: Verdict::Deny,
@@ -1441,8 +1446,14 @@ impl<'a> Invocation<'a> {
             return None;
         }
         match &rule.target {
-            Target::RateLimit { .. } => self.metrics.bump_ratelimit_throttled(op, chain, index),
-            Target::Quota { .. } => self.metrics.bump_quota_exceeded(op, chain, index),
+            Target::RateLimit { .. } => {
+                self.metrics
+                    .bump_throttled(OpFamily::RatelimitThrottled, op, chain, index)
+            }
+            Target::Quota { .. } => {
+                self.metrics
+                    .bump_throttled(OpFamily::QuotaExceeded, op, chain, index)
+            }
             _ => {}
         }
         self.throttle_exceeded(rule, chain, index, pkt, op, exceed)
@@ -1468,7 +1479,7 @@ impl<'a> Invocation<'a> {
         };
         match exceed {
             ExceedPolicy::Drop => {
-                self.metrics.bump_drops();
+                self.metrics.bump(Counter::Drops);
                 self.emit_log(pkt, op, tag, "DENY");
                 Some(EvalDecision {
                     verdict: Verdict::Deny,
@@ -1894,7 +1905,7 @@ mod tests {
         install(&pf, &mut env, "pftables -o FILE_OPEN -j DROP");
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Allow);
-        assert_eq!(pf.stats().invocations(), 0);
+        assert_eq!(pf.metrics().invocations(), 0);
     }
 
     #[test]
@@ -2156,7 +2167,7 @@ mod tests {
             pf.evaluate(&mut env, LsmOperation::FileOpen).verdict,
             Verdict::Allow
         );
-        assert_eq!(pf.stats().accepts(), 1);
+        assert_eq!(pf.metrics().accepts(), 1);
     }
 
     #[test]
@@ -2412,7 +2423,7 @@ mod tests {
             pf.evaluate(&mut env, LsmOperation::FileOpen);
         }
         assert_eq!(env.unwind_count, 1, "entrypoint served from task cache");
-        assert!(pf.stats().cache_hits() >= 2);
+        assert!(pf.metrics().cache_hits() >= 2);
     }
 
     #[test]
@@ -2433,10 +2444,10 @@ mod tests {
         };
         let pf_full = mk(OptLevel::Full, &mut env);
         pf_full.evaluate(&mut env, LsmOperation::FileOpen);
-        let full_rules = pf_full.stats().rules_evaluated();
+        let full_rules = pf_full.metrics().rules_evaluated();
         let pf_ept = mk(OptLevel::EptSpc, &mut env);
         pf_ept.evaluate(&mut env, LsmOperation::FileOpen);
-        let ept_rules = pf_ept.stats().rules_evaluated();
+        let ept_rules = pf_ept.metrics().rules_evaluated();
         assert_eq!(full_rules, 50);
         assert_eq!(ept_rules, 0, "no chain for this entrypoint");
     }
@@ -3042,6 +3053,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn delete_line_removes_the_rule_its_spec_names() {
+        let pf = ProcessFirewall::new(OptLevel::EptSpc);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        let spec = "-o FILE_OPEN -d tmp_t -j DROP";
+        install(&pf, &mut env, &format!("pftables -A input {spec}"));
+        install(&pf, &mut env, "pftables -A input -o FILE_WRITE -j DROP");
+        install(&pf, &mut env, &format!("pftables -D input {spec}"));
+        let base = pf.base();
+        let input = base.chain(&ChainName::Input);
+        assert_eq!(input.len(), 1, "-D removed exactly the named rule");
+        assert_eq!(input[0].text, "pftables -A input -o FILE_WRITE -j DROP");
+        // A bare spec (implicit `-A input`) is the same rule too.
+        install(&pf, &mut env, &format!("pftables {spec}"));
+        install(&pf, &mut env, &format!("pftables -D input {spec}"));
+        install(&pf, &mut env, "pftables -D input -o FILE_WRITE -j DROP");
+        assert!(pf.base().chain(&ChainName::Input).is_empty());
+        // Deleting a spec that is not installed still errors.
+        let absent = pf.install(
+            &format!("pftables -D input {spec}"),
+            &mut env.mac,
+            &mut env.programs,
+        );
+        assert!(absent.is_err(), "-D of an absent rule must fail");
     }
 
     // --- jump-depth exhaustion is surfaced (was a silent skip) ---

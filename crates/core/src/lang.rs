@@ -68,6 +68,22 @@ fn tokenize(line: &str) -> Vec<String> {
     toks
 }
 
+/// A rule's spec: its tokens without the chain command (`-A`/`-I`/`-D`
+/// and the chain name), so `-D input X` names the rule `-A input X`
+/// (or a bare `X`) installed.
+pub(crate) fn rule_spec(text: &str) -> Vec<String> {
+    let mut toks = tokenize(text.trim()).into_iter();
+    let mut spec = Vec::new();
+    while let Some(tok) = toks.next() {
+        if matches!(tok.as_str(), "-A" | "-I" | "-D") {
+            toks.next();
+        } else {
+            spec.push(tok);
+        }
+    }
+    spec
+}
+
 fn err(msg: impl Into<String>) -> PfError {
     PfError::RuleError(msg.into())
 }

@@ -1,41 +1,33 @@
 //! The metrics-and-tracing registry for the firewall engine.
 //!
-//! [`Metrics`] subsumes the original flat `PfStats` counter block (the
-//! six legacy counters keep their accessors; `crate::stats::PfStats` is
-//! now an alias of this type) and adds the detail layer the evaluation
-//! experiments need:
-//!
-//! * per-rule and per-chain hit/evaluated counters, keyed by chain name
-//!   and rule index — the data behind the `pftables -L -v` listing;
-//! * per-[`LsmOperation`] invocation counts;
-//! * per-[`CtxField`] fetch/hit/miss counters;
-//! * log-linear latency histograms (nanosecond buckets, power-of-two
-//!   octaves split four ways) for whole-hook evaluation and for context
-//!   fetches;
-//! * the TRACE target's bounded event ring.
+//! Every exported metric is declared once, as a row of a descriptor
+//! table ([`MetricDesc`]). Storage, [`Metrics::reset`], both exporters,
+//! the firewall-level rows, and the `pfstat`/`pfsh` reports all read
+//! those tables: [`COUNTERS`] (the always-on scalars, one slot each of
+//! a fixed atomic array; the `counters!` table also generates their
+//! named accessors), [`OP_FAMILIES`] (per-[`LsmOperation`] splits),
+//! [`RULE_FAMILIES`] (per-rule tallies behind `pftables -L -v`),
+//! [`FIELD_FAMILIES`] (per-[`CtxField`] counters), [`LATENCY`]
+//! (log-linear nanosecond histograms), and [`EVENT_ROWS`]/[`LOG_ROWS`]
+//! (event-plane and LOG-sink accounting). The registry also owns the
+//! TRACE target's bounded event ring.
 //!
 //! The registry is **thread-safe**: the firewall hook runs re-entrantly
-//! from many tasks at once (the paper's LSM hooks run with interrupts
-//! enabled), so every counter is a relaxed atomic and the latency
-//! histograms are *sharded* — each recording thread owns one shard of
-//! atomic buckets, and [`Metrics::eval_latency`]/
-//! [`Metrics::fetch_latency`] merge the shards into one summary
-//! histogram on export. The rarely-touched structures (per-rule counter
-//! maps, the TRACE ring) sit behind plain mutexes off the hot path.
+//! from many tasks at once, so every counter is a relaxed atomic and the
+//! latency histograms and per-rule maps are *sharded* per recording
+//! thread and merged on export.
 //!
-//! The detail layer is gated by [`Metrics::set_detailed`]: with
-//! recording off (the default) every detail hook is a no-op and no
-//! clock is read, which is the baseline the `metrics_overhead` bench
-//! compares against. The six legacy counters, `default_allows`, the
-//! VCACHE totals (`vcache_hits`/`vcache_misses`/`vcache_uncacheable`),
-//! and `jump_depth_exceeded` are always on — they define engine
-//! semantics that existing tests assert; the per-operation VCACHE
-//! splits ride in the detail layer.
+//! The detail layer (per-op, per-rule, per-field fetch/hit/miss, and
+//! latency) is gated by [`Metrics::set_detailed`]: off by default, when
+//! every detail hook is a no-op and no clock is read — the baseline the
+//! `metrics_overhead` bench compares against. The scalars and per-field
+//! failures are always on: they define engine semantics that tests
+//! assert (see [`Metrics::check`]) and carry security signals.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use pf_types::LsmOperation;
@@ -55,6 +47,13 @@ const NUM_FIELDS: usize = CtxField::ALL.len();
 /// assigned shards round-robin, so up to this many threads record
 /// without sharing a cache line of buckets.
 pub const HISTOGRAM_SHARDS: usize = 8;
+
+/// Locks `m`, recovering from poisoning: the per-rule maps only grow
+/// monotonic tallies and the TRACE ring changes one whole event at a
+/// time, so a panicked holder leaves either one consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The shard this thread records latency samples into.
 fn shard_index() -> usize {
@@ -132,66 +131,290 @@ impl TraceEvent {
     }
 }
 
-/// Per-context-field fetch/hit/miss/failure counters.
-#[derive(Debug, Default)]
-struct FieldCounters {
-    /// Context-module invocations for this field.
-    fetches: AtomicU64,
-    /// Fetches served from the per-syscall task cache.
-    hits: AtomicU64,
-    /// Fetches where the field was unavailable for the operation.
-    misses: AtomicU64,
-    /// Fetches that were attempted and *errored* (not merely absent) —
-    /// the degraded case `--ctx-missing` policies govern. Always on:
-    /// failures are security signals, not profiling detail.
-    failures: AtomicU64,
+// --- the descriptor tables ---
+
+/// When a labelled row gets a Prometheus line. JSON objects are not
+/// elided row by row; each family's JSON shape is fixed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Emit {
+    /// Always (scalars, and per-rule evaluated/hit counts).
+    Always,
+    /// Only when the sample is non-zero.
+    NonZero,
+    /// Whenever any `WithGroup` row of the same label set is non-zero.
+    WithGroup,
 }
 
-/// Per-rule evaluated/hit tallies for one chain, indexed by rule index.
-#[derive(Debug, Default, Clone)]
-struct ChainCounters {
-    evaluated: Vec<u64>,
-    hits: Vec<u64>,
-    throttled: Vec<u64>,
+/// One exported metric: the single declaration every exporter reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricDesc {
+    /// Prometheus family name.
+    pub prom: &'static str,
+    /// JSON key.
+    pub json: &'static str,
+    /// Prometheus zero-elision rule.
+    pub emit: Emit,
+    /// One-line description (accessor docs, `pfstat`).
+    pub help: &'static str,
 }
+
+/// Declares an enum whose variants index one family's storage, and the
+/// family's descriptor table in the same order.
+macro_rules! metric_table {
+    ($(#[$meta:meta])* enum $Enum:ident, $TABLE:ident refines $Total:ident {
+        $($variant:ident => $prom:literal, $json:expr, $emit:ident, $help:literal;)+
+    }) => {
+        metric_table! {
+            $(#[$meta])*
+            enum $Enum, $TABLE { $($variant => $prom, $json, $emit, $help;)+ }
+        }
+
+        impl $Enum {
+            /// The always-on counter of the same name that this split
+            /// refines.
+            const fn total(self) -> $Total {
+                match self {
+                    $($Enum::$variant => $Total::$variant,)+
+                }
+            }
+        }
+    };
+    ($(#[$meta:meta])* enum $Enum:ident, $TABLE:ident {
+        $($variant:ident => $prom:literal, $json:expr, $emit:ident, $help:literal;)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $Enum {
+            $(#[doc = $help] $variant,)+
+        }
+
+        impl $Enum {
+            /// Every variant, in table order.
+            pub const ALL: [$Enum; $TABLE.len()] = [$($Enum::$variant),+];
+        }
+
+        /// Descriptor rows, indexed by the matching enum.
+        pub const $TABLE: &[MetricDesc] =
+            &[$(MetricDesc { prom: $prom, json: $json, emit: Emit::$emit, help: $help }),+];
+    };
+}
+
+/// The always-on scalars: one row declares the [`Counter`] slot, its
+/// [`COUNTERS`] descriptor (JSON key = accessor name), and the accessor.
+macro_rules! counters {
+    ($($name:ident $variant:ident $prom:literal $help:literal;)+) => {
+        metric_table! {
+            /// An always-on scalar counter: one slot of the registry's
+            /// counter array.
+            enum Counter, COUNTERS {
+                $($variant => $prom, stringify!($name), Always, $help;)+
+            }
+        }
+
+        impl Metrics {
+            $(
+                #[doc = $help]
+                pub fn $name(&self) -> u64 {
+                    self.get(Counter::$variant)
+                }
+            )+
+        }
+    };
+}
+
+counters! {
+    invocations Invocations "pf_invocations_total" "Firewall hook invocations.";
+    rules_evaluated RulesEvaluated "pf_rules_evaluated_total" "Rules visited by walks.";
+    ctx_fetches CtxFetches "pf_ctx_fetches_total" "Context-module fetches performed.";
+    cache_hits CacheHits "pf_cache_hits_total" "Context fetches served from the syscall cache.";
+    drops Drops "pf_drops_total" "DROP verdicts returned.";
+    accepts Accepts "pf_accepts_total" "Explicit ACCEPT verdicts returned.";
+    default_allows DefaultAllows "pf_default_allows_total" "Invocations ending in default ALLOW.";
+    degraded_drops DegradedDrops "pf_degraded_drops_total"
+        "DROP verdicts issued while a failed context fetch degraded the invocation.";
+    degraded_allows DegradedAllows "pf_degraded_allows_total"
+        "Allow verdicts issued while a failed context fetch degraded the invocation.";
+    vcache_hits VcacheHits "pf_vcache_hits_total"
+        "Verdicts served from a per-task VCACHE cache without a walk.";
+    vcache_misses VcacheMisses "pf_vcache_misses_total" "Cache-eligible walks run and cached.";
+    vcache_uncacheable VcacheUncacheable "pf_vcache_uncacheable_total"
+        "Invocations that bypassed the verdict cache (failed key fetch, degraded or impure walk).";
+    jump_depth_exceeded JumpDepthExceeded "pf_jump_depth_exceeded_total"
+        "Jumps skipped at the traversal depth limit.";
+    ratelimit_throttled RatelimitThrottled "pf_ratelimit_throttled_total" "RATELIMIT rejections.";
+    quota_exceeded QuotaExceeded "pf_quota_exceeded_total" "Accesses rejected by a QUOTA counter.";
+    rulesetc_dispatch RulesetcDispatch "pf_rulesetc_dispatch_total"
+        "Input-chain walks served through the RULESETC compiled dispatch tables.";
+    rulesetc_fallback RulesetcFallback "pf_rulesetc_fallback_total"
+        "RULESETC walks that fell back to a wider walk because a dimension fetch failed.";
+    origin_transitions OriginTransitions "pf_origin_transitions_total"
+        "Monotone origin (taint) raises observed on processes.";
+    origin_widened OriginWidened "pf_origin_widened_total"
+        "Subject labels whose origin crossed the taint threshold (once per label).";
+    origin_vcache_invalidations OriginVcacheInvalidations "pf_origin_vcache_invalidations_total"
+        "Non-empty verdict caches discarded because the adversary-model generation moved.";
+    trace_dropped TraceDropped "pf_trace_events_dropped_total"
+        "TRACE events discarded because the ring was full.";
+}
+
+metric_table! {
+    /// A per-[`LsmOperation`] detail split of the same-named [`Counter`].
+    enum OpFamily, OP_FAMILIES refines Counter {
+        Invocations => "pf_op_invocations_total", "ops", NonZero, "Hook invocations, by operation.";
+        VcacheHits => "pf_vcache_op_hits_total", "vcache_op_hits", NonZero,
+            "VCACHE hits, by operation.";
+        VcacheMisses => "pf_vcache_op_misses_total", "vcache_op_misses", NonZero,
+            "VCACHE misses, by operation.";
+        VcacheUncacheable => "pf_vcache_op_uncacheable_total", "vcache_op_uncacheable", NonZero,
+            "VCACHE bypasses, by operation.";
+        RatelimitThrottled => "pf_ratelimit_op_throttled_total", "ratelimit_op_throttled",
+            NonZero, "RATELIMIT rejections, by operation.";
+        QuotaExceeded => "pf_quota_op_exceeded_total", "quota_op_exceeded", NonZero,
+            "QUOTA rejections, by operation.";
+    }
+}
+
+metric_table! {
+    /// A per-rule tally, keyed by chain name and rule index (detail
+    /// layer).
+    enum RuleFamily, RULE_FAMILIES {
+        Evaluated => "pf_rule_evaluated_total", "evaluated", Always, "Match evaluations started.";
+        Hits => "pf_rule_hits_total", "hits", Always, "Times the rule matched (target ran).";
+        Throttled => "pf_rule_throttled_total", "throttled", NonZero, "RATELIMIT/QUOTA rejections.";
+    }
+}
+
+metric_table! {
+    /// A per-[`CtxField`] counter: fetch/hit/miss in the detail layer,
+    /// failures always on.
+    enum FieldFamily, FIELD_FAMILIES {
+        Fetches => "pf_ctx_field_fetches_total", "fetches", WithGroup, "Fetches of the field.";
+        Hits => "pf_ctx_field_hits_total", "hits", WithGroup, "Served from the per-syscall cache.";
+        Misses => "pf_ctx_field_misses_total", "misses", WithGroup, "Fetches of absent context.";
+        Failures => "pf_ctx_field_failures_total", "failures", NonZero, "Fetches that errored.";
+    }
+}
+
+metric_table! {
+    /// A latency histogram (detail layer); Prometheus renders it as
+    /// `_bucket{le=…}`/`_sum`/`_count`, JSON as a summary object.
+    enum Latency, LATENCY {
+        Eval => "pf_eval_latency_ns", "eval_latency_ns", Always, "Hook evaluation latency (ns).";
+        Fetch => "pf_fetch_latency_ns", "fetch_latency_ns", Always, "Context-fetch latency (ns).";
+    }
+}
+
+metric_table! {
+    /// Decision-event plane accounting, appended by the firewall-level
+    /// exporters (JSON object `events`).
+    enum EventRow, EVENT_ROWS {
+        Emitted => "pf_events_emitted_total", "emitted", Always, "Events emitted.";
+        Drained => "pf_events_drained_total", "drained", Always, "Events handed to a drain.";
+        Dropped => "pf_events_dropped_total", "dropped", Always, "Events overwritten undrained.";
+    }
+}
+
+metric_table! {
+    /// Bounded LOG sink accounting, appended by the firewall-level
+    /// exporters (JSON object `logs`).
+    enum LogRow, LOG_ROWS {
+        Emitted => "pf_logs_emitted_total", "emitted", Always, "LOG records appended.";
+        Drained => "pf_logs_drained_total", "drained", Always, "LOG records collected.";
+        Dropped => "pf_logs_dropped_total", "dropped", Always, "LOG records overwritten.";
+        Buffered => "pf_logs_buffered", "buffered", Always, "LOG records buffered (gauge).";
+        Capacity => "pf_logs_capacity", "capacity", Always, "LOG sink capacity (gauge).";
+    }
+}
+
+/// Appends one Prometheus line per row its [`Emit`] rule shows:
+/// `name{labels} value`, or `name value` when `labels` is empty.
+pub(crate) fn prom_rows(out: &mut String, rows: &[MetricDesc], values: &[u64], labels: &str) {
+    let group = rows
+        .iter()
+        .zip(values)
+        .any(|(d, &v)| d.emit == Emit::WithGroup && v > 0);
+    for (d, &v) in rows.iter().zip(values) {
+        let shown = match d.emit {
+            Emit::Always => true,
+            Emit::NonZero => v > 0,
+            Emit::WithGroup => group,
+        };
+        if shown {
+            out.push_str(d.prom);
+            if !labels.is_empty() {
+                let _ = write!(out, "{{{labels}}}");
+            }
+            let _ = writeln!(out, " {v}");
+        }
+    }
+}
+
+/// Pushes the `,` that separates JSON members, unless `s` has just
+/// opened an object or array.
+fn json_sep(s: &mut String) {
+    if !s.ends_with(&['{', '['][..]) {
+        s.push(',');
+    }
+}
+
+/// Appends a `"key":value` member for every row.
+pub(crate) fn json_rows(s: &mut String, rows: &[MetricDesc], values: &[u64]) {
+    for (d, v) in rows.iter().zip(values) {
+        json_sep(s);
+        let _ = write!(s, "\"{}\":{v}", d.json);
+    }
+}
+
+/// A fixed array of relaxed atomic counters.
+#[derive(Debug)]
+struct Cells<const N: usize>([AtomicU64; N]);
+
+impl<const N: usize> Default for Cells<N> {
+    fn default() -> Self {
+        Cells(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+impl<const N: usize> Cells<N> {
+    #[inline]
+    fn add(&self, i: usize, n: u64) {
+        self.0[i].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        self.0[i].load(Ordering::Relaxed)
+    }
+
+    fn reset(&self) {
+        self.0.iter().for_each(|c| c.store(0, Ordering::Relaxed));
+    }
+}
+
+/// Per-rule tallies for one chain: one vector per [`RuleFamily`],
+/// indexed by rule index.
+#[derive(Debug, Default, Clone)]
+struct ChainCounters([Vec<u64>; RULE_FAMILIES.len()]);
 
 impl ChainCounters {
     fn ensure(&mut self, index: usize) {
-        if self.evaluated.len() <= index {
-            self.evaluated.resize(index + 1, 0);
-            self.hits.resize(index + 1, 0);
-            self.throttled.resize(index + 1, 0);
+        for v in &mut self.0 {
+            v.resize(v.len().max(index + 1), 0);
         }
+    }
+
+    /// Rule `i`'s tallies, in [`RULE_FAMILIES`] order.
+    fn row(&self, i: usize) -> [u64; RULE_FAMILIES.len()] {
+        std::array::from_fn(|f| self.0[f][i])
     }
 
     /// Element-wise sum of another shard's tallies into this one.
     fn merge(&mut self, other: &ChainCounters) {
-        if !other.evaluated.is_empty() {
-            self.ensure(other.evaluated.len() - 1);
+        for (dst, src) in self.0.iter_mut().zip(&other.0) {
+            dst.resize(dst.len().max(src.len()), 0);
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d += s;
+            }
         }
-        for (i, v) in other.evaluated.iter().enumerate() {
-            self.evaluated[i] += v;
-        }
-        for (i, v) in other.hits.iter().enumerate() {
-            self.hits[i] += v;
-        }
-        for (i, v) in other.throttled.iter().enumerate() {
-            self.throttled[i] += v;
-        }
-    }
-}
-
-/// The per-rule detail maps, sharded like [`ShardedHistogram`]: each
-/// recording thread takes its round-robin shard's lock, so the
-/// per-rule-scanned recorders — the hottest detail-layer site — stop
-/// convoying a fleet of workers on one global mutex. Exports merge the
-/// shards into one `BTreeMap`, keeping the ordering stable.
-#[derive(Debug)]
-struct ChainShards([Mutex<BTreeMap<ChainName, ChainCounters>>; HISTOGRAM_SHARDS]);
-
-impl Default for ChainShards {
-    fn default() -> Self {
-        ChainShards(std::array::from_fn(|_| Mutex::new(BTreeMap::new())))
     }
 }
 
@@ -264,19 +487,17 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating sum: a wrapped total would corrupt means silently.
-        let mut sum = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = sum.saturating_add(v);
-            match self
-                .sum
-                .compare_exchange_weak(sum, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(cur) => sum = cur,
-            }
-        }
+        self.add_sum(v);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Saturating sum: a wrapped total would corrupt means silently.
+    fn add_sum(&self, v: u64) {
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(v))
+            });
     }
 
     /// Adds every bucket and summary cell of `other` into `self`.
@@ -289,18 +510,7 @@ impl Histogram {
         }
         self.count
             .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        let mut sum = self.sum.load(Ordering::Relaxed);
-        let add = other.sum.load(Ordering::Relaxed);
-        loop {
-            let next = sum.saturating_add(add);
-            match self
-                .sum
-                .compare_exchange_weak(sum, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(cur) => sum = cur,
-            }
-        }
+        self.add_sum(other.sum());
         self.max
             .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
@@ -429,104 +639,31 @@ impl ShardedHistogram {
 /// The engine's metrics registry. See the module docs for the layout.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    // --- legacy counters (always on; semantics asserted by tests) ---
-    invocations: AtomicU64,
-    rules_evaluated: AtomicU64,
-    ctx_fetches: AtomicU64,
-    cache_hits: AtomicU64,
-    drops: AtomicU64,
-    accepts: AtomicU64,
-    /// Invocations that fell through every rule to the default-ALLOW
-    /// policy (explicit ACCEPTs are counted separately in `accepts`).
-    default_allows: AtomicU64,
-    /// Denies issued while the invocation was degraded (a context fetch
-    /// failed). Always on, like the verdict counters they refine.
-    degraded_drops: AtomicU64,
-    /// Allows issued while the invocation was degraded — each one is a
-    /// place where a failed fetch *could* have masked an invariant.
-    degraded_allows: AtomicU64,
-    /// Verdicts served from a per-task VCACHE cache without a walk.
-    vcache_hits: AtomicU64,
-    /// Cache-eligible walks that ran and were inserted.
-    vcache_misses: AtomicU64,
-    /// Invocations the cache had to stand aside for: a key field failed
-    /// to fetch, the walk was degraded, or a traversed rule consulted
-    /// context outside the key / carried a side-effecting target.
-    vcache_uncacheable: AtomicU64,
-    /// Jumps skipped because the traversal hit the depth limit — each
-    /// one is a chain that never got its say. Always on: like fetch
-    /// failures, a truncated traversal is a security signal.
-    jump_depth_exceeded: AtomicU64,
-    /// Accesses rejected by a RATELIMIT token bucket. Always on: a
-    /// throttled flood is a security signal, not a profiling detail.
-    ratelimit_throttled: AtomicU64,
-    /// Accesses rejected by a QUOTA windowed counter. Always on.
-    quota_exceeded: AtomicU64,
-    /// Input-chain walks served through the RULESETC compiled dispatch
-    /// tables. Always on: together with `rulesetc_fallback` it proves
-    /// (or disproves) that the compiled path is actually taken.
-    rulesetc_dispatch: AtomicU64,
-    /// RULESETC walks that could not use the index because a dimension
-    /// fetch *failed* (entrypoint → full-chain walk, object label →
-    /// EPTSPC walk). Always on: a rising rate means the fast path is
-    /// being starved by fetch failures — a security *and* perf signal.
-    rulesetc_fallback: AtomicU64,
-    /// Monotone origin (taint) raises observed on processes — every
-    /// time a subject's origin label actually went up. Always on: each
-    /// transition is a step toward (or past) the taint threshold.
-    origin_transitions: AtomicU64,
-    /// Subject labels whose origin crossed the taint threshold,
-    /// dynamically widening adversary accessibility (one count per
-    /// label, the first time only). Always on: a widening rewrites the
-    /// adversary model at runtime — the headline security signal of the
-    /// origin layer.
-    origin_widened: AtomicU64,
-    /// Per-task verdict caches discarded because the adversary-model
-    /// generation moved (taint widening or policy edit) while they held
-    /// entries. Always on, and exact: an empty cache observing a bump
-    /// is not counted.
-    origin_vcache_invalidations: AtomicU64,
+    /// The always-on scalars, indexed by [`Counter`].
+    counters: Cells<{ COUNTERS.len() }>,
     // --- detail layer (gated by `detailed`) ---
     detailed: AtomicBool,
-    per_op: PerOp,
-    vcache_hits_op: PerOp,
-    vcache_misses_op: PerOp,
-    vcache_uncacheable_op: PerOp,
-    ratelimit_throttled_op: PerOp,
-    quota_exceeded_op: PerOp,
-    fields: PerField,
-    chains: ChainShards,
+    /// Indexed by [`OpFamily`], then by operation.
+    per_op: [Cells<NUM_OPS>; OP_FAMILIES.len()],
+    /// Indexed by [`FieldFamily`], then by field bit.
+    fields: [Cells<NUM_FIELDS>; FIELD_FAMILIES.len()],
+    /// The per-rule maps, sharded like [`ShardedHistogram`]: each
+    /// recording thread takes its round-robin shard's lock, so the
+    /// per-rule recorders stop convoying a fleet of workers on one
+    /// global mutex. Exports merge the shards in `BTreeMap` order.
+    chains: [Mutex<BTreeMap<ChainName, ChainCounters>>; HISTOGRAM_SHARDS],
     /// When set, every per-rule recorder uses shard 0 — the pre-shard
     /// single-lock behaviour. A bench/regression knob
     /// ([`Metrics::set_chain_shards_pinned`]), not a production mode.
     chain_shards_pinned: AtomicBool,
-    eval_ns: ShardedHistogram,
-    fetch_ns: ShardedHistogram,
+    /// Indexed by [`Latency`].
+    latency: [ShardedHistogram; LATENCY.len()],
     // --- TRACE ring (driven by rules, not by `detailed`) ---
     trace: Mutex<VecDeque<TraceEvent>>,
-    trace_dropped: AtomicU64,
     /// The `trace_dropped` total the last `drain_trace` observed; the
     /// delta since then decides whether the next drain starts with a
     /// gap marker.
     trace_drop_mark: AtomicU64,
-}
-
-#[derive(Debug)]
-struct PerOp([AtomicU64; NUM_OPS]);
-
-impl Default for PerOp {
-    fn default() -> Self {
-        PerOp(std::array::from_fn(|_| AtomicU64::new(0)))
-    }
-}
-
-#[derive(Debug)]
-struct PerField([FieldCounters; NUM_FIELDS]);
-
-impl Default for PerField {
-    fn default() -> Self {
-        PerField(std::array::from_fn(|_| FieldCounters::default()))
-    }
 }
 
 impl Metrics {
@@ -538,105 +675,13 @@ impl Metrics {
     /// Resets every counter, histogram, and the trace ring. The detail
     /// recording flag is preserved.
     pub fn reset(&self) {
-        self.invocations.store(0, Ordering::Relaxed);
-        self.rules_evaluated.store(0, Ordering::Relaxed);
-        self.ctx_fetches.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.drops.store(0, Ordering::Relaxed);
-        self.accepts.store(0, Ordering::Relaxed);
-        self.default_allows.store(0, Ordering::Relaxed);
-        self.degraded_drops.store(0, Ordering::Relaxed);
-        self.degraded_allows.store(0, Ordering::Relaxed);
-        self.vcache_hits.store(0, Ordering::Relaxed);
-        self.vcache_misses.store(0, Ordering::Relaxed);
-        self.vcache_uncacheable.store(0, Ordering::Relaxed);
-        self.jump_depth_exceeded.store(0, Ordering::Relaxed);
-        self.ratelimit_throttled.store(0, Ordering::Relaxed);
-        self.quota_exceeded.store(0, Ordering::Relaxed);
-        self.rulesetc_dispatch.store(0, Ordering::Relaxed);
-        self.rulesetc_fallback.store(0, Ordering::Relaxed);
-        self.origin_transitions.store(0, Ordering::Relaxed);
-        self.origin_widened.store(0, Ordering::Relaxed);
-        self.origin_vcache_invalidations.store(0, Ordering::Relaxed);
-        for per_op in [
-            &self.per_op,
-            &self.vcache_hits_op,
-            &self.vcache_misses_op,
-            &self.vcache_uncacheable_op,
-            &self.ratelimit_throttled_op,
-            &self.quota_exceeded_op,
-        ] {
-            for c in &per_op.0 {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-        for f in &self.fields.0 {
-            f.fetches.store(0, Ordering::Relaxed);
-            f.hits.store(0, Ordering::Relaxed);
-            f.misses.store(0, Ordering::Relaxed);
-            f.failures.store(0, Ordering::Relaxed);
-        }
-        for shard in &self.chains.0 {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
-        self.eval_ns.reset();
-        self.fetch_ns.reset();
-        self.lock_trace().clear();
-        self.trace_dropped.store(0, Ordering::Relaxed);
+        self.counters.reset();
+        self.per_op.iter().for_each(Cells::reset);
+        self.fields.iter().for_each(Cells::reset);
+        self.chains.iter().for_each(|shard| lock(shard).clear());
+        self.latency.iter().for_each(ShardedHistogram::reset);
+        lock(&self.trace).clear();
         self.trace_drop_mark.store(0, Ordering::Relaxed);
-    }
-
-    /// Locks this thread's per-chain counter shard (shard 0 when
-    /// pinned), recovering from poisoning: the maps only ever grow
-    /// monotonic tallies, so contents left by a panicked recorder are
-    /// still valid statistics.
-    fn lock_chain_shard(&self) -> std::sync::MutexGuard<'_, BTreeMap<ChainName, ChainCounters>> {
-        let shard = if self.chain_shards_pinned.load(Ordering::Relaxed) {
-            0
-        } else {
-            shard_index()
-        };
-        self.chains.0[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Pins every per-rule recorder to one shard, restoring the
-    /// pre-shard single-global-lock behaviour. Benchmarks use this to
-    /// measure what the sharding buys; leave it off otherwise.
-    pub fn set_chain_shards_pinned(&self, pinned: bool) {
-        self.chain_shards_pinned.store(pinned, Ordering::Relaxed);
-    }
-
-    /// Whether per-rule recorders are pinned to one shard.
-    pub fn chain_shards_pinned(&self) -> bool {
-        self.chain_shards_pinned.load(Ordering::Relaxed)
-    }
-
-    /// Merges every shard's tallies for one chain, if any recorded.
-    fn merged_chain(&self, chain: &ChainName) -> Option<ChainCounters> {
-        let mut merged: Option<ChainCounters> = None;
-        for shard in &self.chains.0 {
-            let guard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(c) = guard.get(chain) {
-                merged.get_or_insert_with(ChainCounters::default).merge(c);
-            }
-        }
-        merged
-    }
-
-    /// Locks the TRACE ring, recovering from poisoning: pushes and
-    /// drains are single whole-event operations, so the ring is always
-    /// structurally consistent.
-    fn lock_trace(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceEvent>> {
-        self.trace
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Turns the detail layer (per-rule/per-op/per-field counters and
@@ -651,294 +696,112 @@ impl Metrics {
         self.detailed.load(Ordering::Relaxed)
     }
 
-    // --- legacy bump API (kept from `PfStats`) ---
+    // --- always-on scalars ---
 
+    /// Adds `n` to one always-on counter: one relaxed `fetch_add` on a
+    /// constant slot.
     #[inline]
-    pub(crate) fn bump_invocations(&self) {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes one walk's rule count; the engine calls it once per
-    /// invocation, after the walk returns.
-    #[inline]
-    pub(crate) fn add_rules(&self, n: u64) {
-        self.rules_evaluated.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add(&self, c: Counter, n: u64) {
+        self.counters.add(c as usize, n);
     }
 
     #[inline]
-    pub(crate) fn bump_ctx_fetches(&self) {
-        self.ctx_fetches.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(&self, c: Counter) {
+        self.add(c, 1);
     }
 
-    #[inline]
-    pub(crate) fn bump_cache_hits(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+    /// One always-on counter's value.
+    pub(crate) fn get(&self, c: Counter) -> u64 {
+        self.counters.get(c as usize)
     }
 
-    #[inline]
-    pub(crate) fn bump_drops(&self) {
-        self.drops.fetch_add(1, Ordering::Relaxed);
+    /// Every always-on counter with its descriptor, in table order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static MetricDesc, u64)> + '_ {
+        COUNTERS.iter().zip(self.counter_values())
     }
-
-    #[inline]
-    pub(crate) fn bump_accepts(&self) {
-        self.accepts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_default_allows(&self) {
-        self.default_allows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_degraded_drops(&self) {
-        self.degraded_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_degraded_allows(&self) {
-        self.degraded_allows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // --- VCACHE / traversal-truncation counters (always on) ---
-
-    #[inline]
-    pub(crate) fn bump_vcache_hit(&self, op: LsmOperation) {
-        self.vcache_hits.fetch_add(1, Ordering::Relaxed);
-        if self.detailed() {
-            self.vcache_hits_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn bump_vcache_miss(&self, op: LsmOperation) {
-        self.vcache_misses.fetch_add(1, Ordering::Relaxed);
-        if self.detailed() {
-            self.vcache_misses_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn bump_vcache_uncacheable(&self, op: LsmOperation) {
-        self.vcache_uncacheable.fetch_add(1, Ordering::Relaxed);
-        if self.detailed() {
-            self.vcache_uncacheable_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn bump_jump_depth_exceeded(&self) {
-        self.jump_depth_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_rulesetc_dispatch(&self) {
-        self.rulesetc_dispatch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_rulesetc_fallback(&self) {
-        self.rulesetc_fallback.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // --- origin (taint) counters (always on) ---
 
     /// Records one monotone origin raise on a process. Public: the OS
     /// substrate performs propagation (reads, exec, IPC) and reports it
     /// here.
     #[inline]
     pub fn bump_origin_transition(&self) {
-        self.origin_transitions.fetch_add(1, Ordering::Relaxed);
+        self.bump(Counter::OriginTransitions);
     }
 
     /// Records one subject label crossing the taint threshold (first
     /// time only — callers gate on `MacPolicy::taint_subject`'s return).
     #[inline]
     pub fn bump_origin_widened(&self) {
-        self.origin_widened.fetch_add(1, Ordering::Relaxed);
+        self.bump(Counter::OriginWidened);
     }
 
-    #[inline]
-    pub(crate) fn bump_origin_vcache_invalidation(&self) {
-        self.origin_vcache_invalidations
-            .fetch_add(1, Ordering::Relaxed);
+    /// The registry's invariants that are violated right now, one
+    /// message each; empty when all hold. Exact on a quiescent registry
+    /// (a scrape racing live recorders may see one side of a pair).
+    pub fn check(&self) -> Vec<String> {
+        let (inv, drops) = (self.invocations(), self.drops());
+        let allows = self.accepts() + self.default_allows();
+        let verdicts = drops + allows;
+        let vcache = self.vcache_hits() + self.vcache_misses() + self.vcache_uncacheable();
+        let (dd, da) = (self.degraded_drops(), self.degraded_allows());
+        [
+            (
+                "drops + accepts + default_allows == invocations",
+                verdicts == inv,
+                verdicts,
+                inv,
+            ),
+            ("degraded_drops <= drops", dd <= drops, dd, drops),
+            (
+                "degraded_allows <= accepts + default_allows",
+                da <= allows,
+                da,
+                allows,
+            ),
+            (
+                "vcache hits + misses + uncacheable <= invocations",
+                vcache <= inv,
+                vcache,
+                inv,
+            ),
+        ]
+        .into_iter()
+        .filter(|&(_, holds, _, _)| !holds)
+        .map(|(rule, _, lhs, rhs)| format!("{rule} violated: {lhs} vs {rhs}"))
+        .collect()
     }
 
-    // --- throttle counters (always-on totals, detail splits) ---
+    // --- per-operation splits ---
 
+    /// Bumps `family`'s always-on total and, in the detail layer, its
+    /// split for `op`.
     #[inline]
-    pub(crate) fn bump_ratelimit_throttled(
+    pub(crate) fn bump_op(&self, family: OpFamily, op: LsmOperation) {
+        self.bump(family.total());
+        if self.detailed() {
+            self.per_op[family as usize].add(op as usize, 1);
+        }
+    }
+
+    /// [`Metrics::bump_op`] for a RATELIMIT/QUOTA rejection, plus the
+    /// rejecting rule's `throttled` tally in the detail layer.
+    #[inline]
+    pub(crate) fn bump_throttled(
         &self,
+        family: OpFamily,
         op: LsmOperation,
         chain: &ChainName,
         index: usize,
     ) {
-        self.ratelimit_throttled.fetch_add(1, Ordering::Relaxed);
+        self.bump_op(family, op);
         if self.detailed() {
-            self.ratelimit_throttled_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-            self.rule_throttled_slow(chain, index);
+            self.rule_slow(RuleFamily::Throttled, chain, index);
         }
     }
 
-    #[inline]
-    pub(crate) fn bump_quota_exceeded(&self, op: LsmOperation, chain: &ChainName, index: usize) {
-        self.quota_exceeded.fetch_add(1, Ordering::Relaxed);
-        if self.detailed() {
-            self.quota_exceeded_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-            self.rule_throttled_slow(chain, index);
-        }
-    }
-
-    #[cold]
-    fn rule_throttled_slow(&self, chain: &ChainName, index: usize) {
-        self.with_chain_counters(chain, index, |c| c.throttled[index] += 1);
-    }
-
-    // --- legacy accessors (kept from `PfStats`) ---
-
-    /// Firewall hook invocations.
-    pub fn invocations(&self) -> u64 {
-        self.invocations.load(Ordering::Relaxed)
-    }
-
-    /// Rules whose match evaluation started.
-    pub fn rules_evaluated(&self) -> u64 {
-        self.rules_evaluated.load(Ordering::Relaxed)
-    }
-
-    /// Context-module fetches performed.
-    pub fn ctx_fetches(&self) -> u64 {
-        self.ctx_fetches.load(Ordering::Relaxed)
-    }
-
-    /// Context fetches satisfied from the per-syscall cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// DROP verdicts returned.
-    pub fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-
-    /// Explicit ACCEPT verdicts returned (default allows not counted).
-    pub fn accepts(&self) -> u64 {
-        self.accepts.load(Ordering::Relaxed)
-    }
-
-    /// Invocations resolved by the implicit default-ALLOW policy.
-    ///
-    /// Every invocation ends one of three ways, so
-    /// `drops + accepts + default_allows == invocations` holds.
-    pub fn default_allows(&self) -> u64 {
-        self.default_allows.load(Ordering::Relaxed)
-    }
-
-    /// DROP (or CTXFAIL) verdicts issued while the invocation was
-    /// degraded by a failed context fetch. A subset of
-    /// [`Metrics::drops`].
-    pub fn degraded_drops(&self) -> u64 {
-        self.degraded_drops.load(Ordering::Relaxed)
-    }
-
-    /// Allow verdicts (explicit or default) issued while the invocation
-    /// was degraded by a failed context fetch.
-    pub fn degraded_allows(&self) -> u64 {
-        self.degraded_allows.load(Ordering::Relaxed)
-    }
-
-    /// Verdicts served from a per-task VCACHE cache without a walk.
-    pub fn vcache_hits(&self) -> u64 {
-        self.vcache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache-eligible walks that ran and were inserted for next time.
-    pub fn vcache_misses(&self) -> u64 {
-        self.vcache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Cache-bypassed invocations (failed key fetch, degraded walk, or
-    /// a rule outside the cacheable fragment on the path).
-    pub fn vcache_uncacheable(&self) -> u64 {
-        self.vcache_uncacheable.load(Ordering::Relaxed)
-    }
-
-    /// Jumps skipped at the traversal depth limit.
-    pub fn jump_depth_exceeded(&self) -> u64 {
-        self.jump_depth_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// `(hits, misses, uncacheable)` VCACHE counts for one operation
-    /// (detail layer).
-    pub fn vcache_op_counts(&self, op: LsmOperation) -> (u64, u64, u64) {
-        (
-            self.vcache_hits_op.0[op as usize].load(Ordering::Relaxed),
-            self.vcache_misses_op.0[op as usize].load(Ordering::Relaxed),
-            self.vcache_uncacheable_op.0[op as usize].load(Ordering::Relaxed),
-        )
-    }
-
-    /// Accesses rejected by a RATELIMIT token bucket (regardless of
-    /// the rule's `--exceed` policy).
-    pub fn ratelimit_throttled(&self) -> u64 {
-        self.ratelimit_throttled.load(Ordering::Relaxed)
-    }
-
-    /// Accesses rejected by a QUOTA windowed counter.
-    pub fn quota_exceeded(&self) -> u64 {
-        self.quota_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// Input-chain walks served through the RULESETC compiled dispatch
-    /// tables.
-    pub fn rulesetc_dispatch(&self) -> u64 {
-        self.rulesetc_dispatch.load(Ordering::Relaxed)
-    }
-
-    /// RULESETC walks that fell back to a full or EPTSPC walk because a
-    /// dimension fetch failed.
-    pub fn rulesetc_fallback(&self) -> u64 {
-        self.rulesetc_fallback.load(Ordering::Relaxed)
-    }
-
-    /// Monotone origin (taint) raises observed on processes.
-    pub fn origin_transitions(&self) -> u64 {
-        self.origin_transitions.load(Ordering::Relaxed)
-    }
-
-    /// Subject labels whose origin crossed the taint threshold (one per
-    /// label: adversary-accessibility widenings).
-    pub fn origin_widened(&self) -> u64 {
-        self.origin_widened.load(Ordering::Relaxed)
-    }
-
-    /// Per-task verdict caches discarded because the adversary-model
-    /// generation moved while they held entries.
-    pub fn origin_vcache_invalidations(&self) -> u64 {
-        self.origin_vcache_invalidations.load(Ordering::Relaxed)
-    }
-
-    /// `(ratelimit_throttled, quota_exceeded)` for one operation
-    /// (detail layer).
-    pub fn throttle_op_counts(&self, op: LsmOperation) -> (u64, u64) {
-        (
-            self.ratelimit_throttled_op.0[op as usize].load(Ordering::Relaxed),
-            self.quota_exceeded_op.0[op as usize].load(Ordering::Relaxed),
-        )
-    }
-
-    // --- per-operation counters ---
-
-    #[inline]
-    pub(crate) fn op_invoked(&self, op: LsmOperation) {
-        if self.detailed() {
-            self.per_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Hook invocations for one operation (detail layer).
-    pub fn op_invocations(&self, op: LsmOperation) -> u64 {
-        self.per_op.0[op as usize].load(Ordering::Relaxed)
+    /// One per-operation split (detail layer).
+    pub fn op_count(&self, family: OpFamily, op: LsmOperation) -> u64 {
+        self.per_op[family as usize].get(op as usize)
     }
 
     // --- per-rule / per-chain counters ---
@@ -948,96 +811,83 @@ impl Metrics {
     // invocation). Keep the gate inlined and the map lookup out of
     // line.
     #[inline]
-    pub(crate) fn rule_evaluated(&self, chain: &ChainName, index: usize) {
+    pub(crate) fn rule_bump(&self, family: RuleFamily, chain: &ChainName, index: usize) {
         if self.detailed() {
-            self.rule_evaluated_slow(chain, index);
+            self.rule_slow(family, chain, index);
         }
     }
 
+    /// Bumps one rule's tally in this thread's shard (shard 0 when
+    /// pinned). The chain name is cloned only the first time the shard
+    /// sees the chain, so recording never allocates once warm.
     #[cold]
-    fn rule_evaluated_slow(&self, chain: &ChainName, index: usize) {
-        self.with_chain_counters(chain, index, |c| c.evaluated[index] += 1);
-    }
-
-    #[inline]
-    pub(crate) fn rule_hit(&self, chain: &ChainName, index: usize) {
-        if self.detailed() {
-            self.rule_hit_slow(chain, index);
-        }
-    }
-
-    #[cold]
-    fn rule_hit_slow(&self, chain: &ChainName, index: usize) {
-        self.with_chain_counters(chain, index, |c| c.hits[index] += 1);
-    }
-
-    /// Runs `f` on this thread's shard of `chain`'s counters, sized to
-    /// hold `index`. The chain name is cloned only the first time the
-    /// shard sees the chain, so recording never allocates once warm.
-    fn with_chain_counters(
-        &self,
-        chain: &ChainName,
-        index: usize,
-        f: impl FnOnce(&mut ChainCounters),
-    ) {
-        let mut chains = self.lock_chain_shard();
+    fn rule_slow(&self, family: RuleFamily, chain: &ChainName, index: usize) {
+        let shard = if self.chain_shards_pinned.load(Ordering::Relaxed) {
+            0
+        } else {
+            shard_index()
+        };
+        let mut chains = lock(&self.chains[shard]);
         let c = match chains.get_mut(chain) {
             Some(c) => c,
             None => chains.entry(chain.clone()).or_default(),
         };
         c.ensure(index);
-        f(c);
+        c.0[family as usize][index] += 1;
+    }
+
+    /// Pins every per-rule recorder to one shard, restoring the
+    /// pre-shard single-global-lock behaviour. Benchmarks use this to
+    /// measure what the sharding buys; leave it off otherwise.
+    pub fn set_chain_shards_pinned(&self, pinned: bool) {
+        self.chain_shards_pinned.store(pinned, Ordering::Relaxed);
+    }
+
+    /// Whether per-rule recorders are pinned to one shard.
+    pub fn chain_shards_pinned(&self) -> bool {
+        self.chain_shards_pinned.load(Ordering::Relaxed)
+    }
+
+    /// Every chain's per-rule tallies, all shards merged, in stable
+    /// (`BTreeMap`) order regardless of which shards recorded them.
+    fn merged_chains(&self) -> BTreeMap<ChainName, ChainCounters> {
+        let mut merged: BTreeMap<ChainName, ChainCounters> = BTreeMap::new();
+        for shard in &self.chains {
+            for (chain, c) in lock(shard).iter() {
+                merged.entry(chain.clone()).or_default().merge(c);
+            }
+        }
+        merged
     }
 
     /// Snapshot of one chain's per-rule counters, if any were recorded:
     /// every shard's tallies merged element-wise.
     pub fn chain_snapshot(&self, chain: &ChainName) -> Option<ChainSnapshot> {
-        self.merged_chain(chain).map(|c| ChainSnapshot {
-            evaluated: c.evaluated,
-            hits: c.hits,
-            throttled: c.throttled,
+        let ChainCounters([evaluated, hits, throttled]) = self.merged_chains().remove(chain)?;
+        Some(ChainSnapshot {
+            evaluated,
+            hits,
+            throttled,
         })
     }
 
     /// Names of chains with recorded per-rule counters, in stable
     /// (`BTreeMap`) order regardless of which shards recorded them.
     pub fn chains_seen(&self) -> Vec<ChainName> {
-        let mut seen: std::collections::BTreeSet<ChainName> = std::collections::BTreeSet::new();
-        for shard in &self.chains.0 {
-            let guard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            seen.extend(guard.keys().cloned());
-        }
-        seen.into_iter().collect()
+        self.merged_chains().into_keys().collect()
     }
 
     // --- per-field counters ---
 
     #[inline]
-    pub(crate) fn field_fetch(&self, field: CtxField) {
-        if self.detailed() {
-            self.fields.0[field.bit() as usize]
-                .fetches
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    fn field_add(&self, family: FieldFamily, field: CtxField) {
+        self.fields[family as usize].add(field.bit() as usize, 1);
     }
 
     #[inline]
-    pub(crate) fn field_hit(&self, field: CtxField) {
+    pub(crate) fn field_bump(&self, family: FieldFamily, field: CtxField) {
         if self.detailed() {
-            self.fields.0[field.bit() as usize]
-                .hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn field_miss(&self, field: CtxField) {
-        if self.detailed() {
-            self.fields.0[field.bit() as usize]
-                .misses
-                .fetch_add(1, Ordering::Relaxed);
+            self.field_add(family, field);
         }
     }
 
@@ -1046,26 +896,17 @@ impl Metrics {
     /// signal (the condition `--ctx-missing` policies arbitrate).
     #[inline]
     pub(crate) fn field_failure(&self, field: CtxField) {
-        self.fields.0[field.bit() as usize]
-            .failures
-            .fetch_add(1, Ordering::Relaxed);
+        self.field_add(FieldFamily::Failures, field);
+    }
+
+    /// One per-field counter.
+    pub fn field_count(&self, family: FieldFamily, field: CtxField) -> u64 {
+        self.fields[family as usize].get(field.bit() as usize)
     }
 
     /// Failed fetches recorded for one context field.
     pub fn field_failures(&self, field: CtxField) -> u64 {
-        self.fields.0[field.bit() as usize]
-            .failures
-            .load(Ordering::Relaxed)
-    }
-
-    /// `(fetches, cache_hits, misses)` for one context field.
-    pub fn field_counts(&self, field: CtxField) -> (u64, u64, u64) {
-        let f = &self.fields.0[field.bit() as usize];
-        (
-            f.fetches.load(Ordering::Relaxed),
-            f.hits.load(Ordering::Relaxed),
-            f.misses.load(Ordering::Relaxed),
-        )
+        self.field_count(FieldFamily::Failures, field)
     }
 
     // --- latency histograms ---
@@ -1083,39 +924,46 @@ impl Metrics {
     #[inline]
     pub(crate) fn observe_eval(&self, t0: Option<Instant>) {
         if let Some(t0) = t0 {
-            self.eval_ns.record(t0.elapsed().as_nanos() as u64);
+            self.latency[Latency::Eval as usize].record(t0.elapsed().as_nanos() as u64);
         }
     }
 
     #[inline]
     pub(crate) fn observe_fetch(&self, field: CtxField, t0: Option<Instant>, missed: bool) {
-        self.field_fetch(field);
-        if missed {
-            self.field_miss(field);
+        if self.detailed() {
+            self.field_add(FieldFamily::Fetches, field);
+            if missed {
+                self.field_add(FieldFamily::Misses, field);
+            }
         }
         if let Some(t0) = t0 {
-            self.fetch_ns.record(t0.elapsed().as_nanos() as u64);
+            self.latency[Latency::Fetch as usize].record(t0.elapsed().as_nanos() as u64);
         }
     }
 
-    /// Whole-hook evaluation latency (detail layer): every per-thread
-    /// shard merged into one summary histogram.
-    pub fn eval_latency(&self) -> Histogram {
-        self.eval_ns.merged()
+    /// One latency histogram (detail layer): every per-thread shard
+    /// merged into one summary histogram.
+    pub fn latency(&self, which: Latency) -> Histogram {
+        self.latency[which as usize].merged()
     }
 
-    /// Context-fetch latency (detail layer), merged across shards.
+    /// Whole-hook evaluation latency (detail layer), merged.
+    pub fn eval_latency(&self) -> Histogram {
+        self.latency(Latency::Eval)
+    }
+
+    /// Context-fetch latency (detail layer), merged.
     pub fn fetch_latency(&self) -> Histogram {
-        self.fetch_ns.merged()
+        self.latency(Latency::Fetch)
     }
 
     // --- TRACE ring ---
 
     pub(crate) fn push_trace(&self, event: TraceEvent) {
-        let mut ring = self.lock_trace();
+        let mut ring = lock(&self.trace);
         if ring.len() >= TRACE_RING_CAP {
             ring.pop_front();
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::TraceDropped);
         }
         ring.push_back(event);
     }
@@ -1128,11 +976,11 @@ impl Metrics {
     /// is stamped here, on the reader side, so the push path stays one
     /// `pop_front` + counter bump regardless of drain cadence.
     pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        let mut ring = self.lock_trace();
+        let mut ring = lock(&self.trace);
         let mut events: Vec<TraceEvent> = ring.drain(..).collect();
         // Mark-swap happens under the ring lock so two racing drains
         // cannot both consume the same overflow delta.
-        let total = self.trace_dropped.load(Ordering::Relaxed);
+        let total = self.trace_dropped();
         let prior = self.trace_drop_mark.swap(total, Ordering::Relaxed);
         if total > prior {
             if let Some(first) = events.first_mut() {
@@ -1144,12 +992,7 @@ impl Metrics {
 
     /// Buffered TRACE events.
     pub fn trace_len(&self) -> usize {
-        self.lock_trace().len()
-    }
-
-    /// TRACE events discarded because the ring was full.
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped.load(Ordering::Relaxed)
+        lock(&self.trace).len()
     }
 
     // --- exporters ---
@@ -1160,155 +1003,34 @@ impl Metrics {
     /// comment lines are emitted, so the output parses line-by-line.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let _ = writeln!(out, "pf_invocations_total {}", self.invocations());
-        let _ = writeln!(out, "pf_rules_evaluated_total {}", self.rules_evaluated());
-        let _ = writeln!(out, "pf_ctx_fetches_total {}", self.ctx_fetches());
-        let _ = writeln!(out, "pf_cache_hits_total {}", self.cache_hits());
-        let _ = writeln!(out, "pf_drops_total {}", self.drops());
-        let _ = writeln!(out, "pf_accepts_total {}", self.accepts());
-        let _ = writeln!(out, "pf_default_allows_total {}", self.default_allows());
-        let _ = writeln!(out, "pf_degraded_drops_total {}", self.degraded_drops());
-        let _ = writeln!(out, "pf_degraded_allows_total {}", self.degraded_allows());
-        let _ = writeln!(out, "pf_vcache_hits_total {}", self.vcache_hits());
-        let _ = writeln!(out, "pf_vcache_misses_total {}", self.vcache_misses());
-        let _ = writeln!(
-            out,
-            "pf_vcache_uncacheable_total {}",
-            self.vcache_uncacheable()
-        );
-        let _ = writeln!(
-            out,
-            "pf_jump_depth_exceeded_total {}",
-            self.jump_depth_exceeded()
-        );
-        let _ = writeln!(
-            out,
-            "pf_ratelimit_throttled_total {}",
-            self.ratelimit_throttled()
-        );
-        let _ = writeln!(out, "pf_quota_exceeded_total {}", self.quota_exceeded());
-        let _ = writeln!(
-            out,
-            "pf_rulesetc_dispatch_total {}",
-            self.rulesetc_dispatch()
-        );
-        let _ = writeln!(
-            out,
-            "pf_rulesetc_fallback_total {}",
-            self.rulesetc_fallback()
-        );
-        let _ = writeln!(
-            out,
-            "pf_origin_transitions_total {}",
-            self.origin_transitions()
-        );
-        let _ = writeln!(out, "pf_origin_widened_total {}", self.origin_widened());
-        let _ = writeln!(
-            out,
-            "pf_origin_vcache_invalidations_total {}",
-            self.origin_vcache_invalidations()
-        );
-        let _ = writeln!(
-            out,
-            "pf_trace_events_dropped_total {}",
-            self.trace_dropped()
-        );
+        prom_rows(&mut out, COUNTERS, &self.counter_values(), "");
+        let mut labels = String::new();
         for op in LsmOperation::ALL {
-            let n = self.op_invocations(op);
-            if n > 0 {
-                let _ = writeln!(out, "pf_op_invocations_total{{op=\"{}\"}} {n}", op.name());
-            }
-            let (hits, misses, uncacheable) = self.vcache_op_counts(op);
-            if hits > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_vcache_op_hits_total{{op=\"{}\"}} {hits}",
-                    op.name()
-                );
-            }
-            if misses > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_vcache_op_misses_total{{op=\"{}\"}} {misses}",
-                    op.name()
-                );
-            }
-            if uncacheable > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_vcache_op_uncacheable_total{{op=\"{}\"}} {uncacheable}",
-                    op.name()
-                );
-            }
-            let (throttled, quota) = self.throttle_op_counts(op);
-            if throttled > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_ratelimit_op_throttled_total{{op=\"{}\"}} {throttled}",
-                    op.name()
-                );
-            }
-            if quota > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_quota_op_exceeded_total{{op=\"{}\"}} {quota}",
-                    op.name()
-                );
-            }
+            let values: [u64; OP_FAMILIES.len()] =
+                std::array::from_fn(|f| self.per_op[f].get(op as usize));
+            labels.clear();
+            let _ = write!(labels, "op=\"{}\"", op.name());
+            prom_rows(&mut out, OP_FAMILIES, &values, &labels);
         }
-        for chain in self.chains_seen() {
-            let snap = self.chain_snapshot(&chain).unwrap();
+        for (chain, c) in self.merged_chains() {
             // User chain names are free-form rule-language tokens;
             // escape them like every other label value.
             let mut name = String::new();
             prom_label_esc(&mut name, &chain.name());
-            for (i, (&ev, &hit)) in snap.evaluated.iter().zip(&snap.hits).enumerate() {
-                let _ = writeln!(
-                    out,
-                    "pf_rule_evaluated_total{{chain=\"{name}\",rule=\"{i}\"}} {ev}"
-                );
-                let _ = writeln!(
-                    out,
-                    "pf_rule_hits_total{{chain=\"{name}\",rule=\"{i}\"}} {hit}"
-                );
-                let throttled = snap.throttled.get(i).copied().unwrap_or(0);
-                if throttled > 0 {
-                    let _ = writeln!(
-                        out,
-                        "pf_rule_throttled_total{{chain=\"{name}\",rule=\"{i}\"}} {throttled}"
-                    );
-                }
+            for i in 0..c.0[0].len() {
+                labels.clear();
+                let _ = write!(labels, "chain=\"{name}\",rule=\"{i}\"");
+                prom_rows(&mut out, RULE_FAMILIES, &c.row(i), &labels);
             }
         }
         for field in CtxField::ALL {
-            let (fetches, hits, misses) = self.field_counts(field);
-            if fetches + hits + misses > 0 {
-                let name = field.cname();
-                let _ = writeln!(
-                    out,
-                    "pf_ctx_field_fetches_total{{field=\"{name}\"}} {fetches}"
-                );
-                let _ = writeln!(out, "pf_ctx_field_hits_total{{field=\"{name}\"}} {hits}");
-                let _ = writeln!(
-                    out,
-                    "pf_ctx_field_misses_total{{field=\"{name}\"}} {misses}"
-                );
-            }
-            // Failure counters are always on (not detail-gated), so
-            // they get their own non-zero gate.
-            let failures = self.field_failures(field);
-            if failures > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_ctx_field_failures_total{{field=\"{}\"}} {failures}",
-                    field.cname()
-                );
-            }
+            labels.clear();
+            let _ = write!(labels, "field=\"{}\"", field.cname());
+            prom_rows(&mut out, FIELD_FAMILIES, &self.field_values(field), &labels);
         }
-        for (metric, hist) in [
-            ("pf_eval_latency_ns", self.eval_latency()),
-            ("pf_fetch_latency_ns", self.fetch_latency()),
-        ] {
+        for (d, which) in LATENCY.iter().zip(Latency::ALL) {
+            let hist = self.latency(which);
+            let metric = d.prom;
             for (le, cum) in hist.cumulative_buckets() {
                 let _ = writeln!(out, "{metric}_bucket{{le=\"{le}\"}} {cum}");
             }
@@ -1319,104 +1041,65 @@ impl Metrics {
         out
     }
 
-    /// Renders a JSON snapshot of every counter and histogram summary.
+    fn counter_values(&self) -> [u64; COUNTERS.len()] {
+        std::array::from_fn(|i| self.counters.get(i))
+    }
+
+    fn field_values(&self, field: CtxField) -> [u64; FIELD_FAMILIES.len()] {
+        std::array::from_fn(|f| self.fields[f].get(field.bit() as usize))
+    }
+
+    /// Renders a JSON snapshot of every counter and histogram summary:
+    /// `counters`, one object per [`OP_FAMILIES`] row (non-zero
+    /// operations only; the first is `ops`), `chains`, `fields`, and
+    /// one summary per [`LATENCY`] row.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(2048);
-        let _ = write!(
-            s,
-            "{{\"counters\":{{\"invocations\":{},\"rules_evaluated\":{},\
-             \"ctx_fetches\":{},\"cache_hits\":{},\"drops\":{},\"accepts\":{},\
-             \"default_allows\":{},\"degraded_drops\":{},\
-             \"degraded_allows\":{},\"vcache_hits\":{},\"vcache_misses\":{},\
-             \"vcache_uncacheable\":{},\"jump_depth_exceeded\":{},\
-             \"ratelimit_throttled\":{},\"quota_exceeded\":{},\
-             \"rulesetc_dispatch\":{},\"rulesetc_fallback\":{},\
-             \"origin_transitions\":{},\"origin_widened\":{},\
-             \"origin_vcache_invalidations\":{},\
-             \"trace_dropped\":{}}}",
-            self.invocations(),
-            self.rules_evaluated(),
-            self.ctx_fetches(),
-            self.cache_hits(),
-            self.drops(),
-            self.accepts(),
-            self.default_allows(),
-            self.degraded_drops(),
-            self.degraded_allows(),
-            self.vcache_hits(),
-            self.vcache_misses(),
-            self.vcache_uncacheable(),
-            self.jump_depth_exceeded(),
-            self.ratelimit_throttled(),
-            self.quota_exceeded(),
-            self.rulesetc_dispatch(),
-            self.rulesetc_fallback(),
-            self.origin_transitions(),
-            self.origin_widened(),
-            self.origin_vcache_invalidations(),
-            self.trace_dropped(),
-        );
-        s.push_str(",\"ops\":{");
-        let mut first = true;
-        for op in LsmOperation::ALL {
-            let n = self.op_invocations(op);
-            if n > 0 {
-                if !first {
-                    s.push(',');
+        s.push_str("{\"counters\":{");
+        json_rows(&mut s, COUNTERS, &self.counter_values());
+        s.push('}');
+        for (d, cells) in OP_FAMILIES.iter().zip(&self.per_op) {
+            let _ = write!(s, ",\"{}\":{{", d.json);
+            for op in LsmOperation::ALL {
+                let n = cells.get(op as usize);
+                if n > 0 {
+                    json_sep(&mut s);
+                    let _ = write!(s, "\"{}\":{n}", op.name());
                 }
-                first = false;
-                let _ = write!(s, "\"{}\":{n}", op.name());
             }
+            s.push('}');
         }
-        s.push_str("},\"chains\":{");
-        let mut first = true;
-        for chain in self.chains_seen() {
-            let snap = self.chain_snapshot(&chain).unwrap();
-            if !first {
-                s.push(',');
-            }
-            first = false;
+        s.push_str(",\"chains\":{");
+        for (chain, c) in self.merged_chains() {
+            json_sep(&mut s);
             s.push('"');
             esc(&mut s, &chain.name());
             s.push_str("\":[");
-            for (i, (&ev, &hit)) in snap.evaluated.iter().zip(&snap.hits).enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let throttled = snap.throttled.get(i).copied().unwrap_or(0);
-                let _ = write!(
-                    s,
-                    "{{\"rule\":{i},\"evaluated\":{ev},\"hits\":{hit},\"throttled\":{throttled}}}"
-                );
+            for i in 0..c.0[0].len() {
+                json_sep(&mut s);
+                let _ = write!(s, "{{\"rule\":{i}");
+                json_rows(&mut s, RULE_FAMILIES, &c.row(i));
+                s.push('}');
             }
             s.push(']');
         }
         s.push_str("},\"fields\":{");
-        let mut first = true;
         for field in CtxField::ALL {
-            let (fetches, hits, misses) = self.field_counts(field);
-            let failures = self.field_failures(field);
-            if fetches + hits + misses + failures > 0 {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    s,
-                    "\"{}\":{{\"fetches\":{fetches},\"hits\":{hits},\
-                     \"misses\":{misses},\"failures\":{failures}}}",
-                    field.cname()
-                );
+            let values = self.field_values(field);
+            if values.iter().any(|&v| v > 0) {
+                json_sep(&mut s);
+                let _ = write!(s, "\"{}\":{{", field.cname());
+                json_rows(&mut s, FIELD_FAMILIES, &values);
+                s.push('}');
             }
         }
         s.push('}');
-        for (name, hist) in [
-            ("eval_latency_ns", self.eval_latency()),
-            ("fetch_latency_ns", self.fetch_latency()),
-        ] {
+        for (d, which) in LATENCY.iter().zip(Latency::ALL) {
+            let hist = self.latency(which);
             let _ = write!(
                 s,
-                ",\"{name}\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
+                ",\"{}\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
+                d.json,
                 hist.count(),
                 hist.mean(),
                 hist.p50(),
@@ -1436,10 +1119,10 @@ mod tests {
     #[test]
     fn legacy_counters_bump_and_reset() {
         let m = Metrics::new();
-        m.bump_invocations();
-        m.add_rules(1);
-        m.add_rules(1);
-        m.bump_drops();
+        m.bump(Counter::Invocations);
+        m.add(Counter::RulesEvaluated, 1);
+        m.add(Counter::RulesEvaluated, 1);
+        m.bump(Counter::Drops);
         assert_eq!(m.invocations(), 1);
         assert_eq!(m.rules_evaluated(), 2);
         assert_eq!(m.drops(), 1);
@@ -1450,26 +1133,27 @@ mod tests {
     #[test]
     fn detail_layer_is_noop_until_enabled() {
         let m = Metrics::new();
-        m.op_invoked(LsmOperation::FileOpen);
-        m.rule_evaluated(&ChainName::Input, 0);
-        m.field_fetch(CtxField::ResourceId);
+        m.bump_op(OpFamily::Invocations, LsmOperation::FileOpen);
+        m.rule_bump(RuleFamily::Evaluated, &ChainName::Input, 0);
+        m.field_bump(FieldFamily::Fetches, CtxField::ResourceId);
         assert!(m.timer().is_none());
-        assert_eq!(m.op_invocations(LsmOperation::FileOpen), 0);
+        assert_eq!(m.op_count(OpFamily::Invocations, LsmOperation::FileOpen), 0);
         assert!(m.chain_snapshot(&ChainName::Input).is_none());
-        assert_eq!(m.field_counts(CtxField::ResourceId), (0, 0, 0));
+        assert_eq!(m.field_values(CtxField::ResourceId), [0; 4]);
 
         m.set_detailed(true);
-        m.op_invoked(LsmOperation::FileOpen);
-        m.rule_evaluated(&ChainName::Input, 2);
-        m.rule_hit(&ChainName::Input, 2);
-        m.field_fetch(CtxField::ResourceId);
-        m.field_miss(CtxField::ResourceId);
+        m.bump_op(OpFamily::Invocations, LsmOperation::FileOpen);
+        m.rule_bump(RuleFamily::Evaluated, &ChainName::Input, 2);
+        m.rule_bump(RuleFamily::Hits, &ChainName::Input, 2);
+        m.observe_fetch(CtxField::ResourceId, None, true);
         assert!(m.timer().is_some());
-        assert_eq!(m.op_invocations(LsmOperation::FileOpen), 1);
+        assert_eq!(m.op_count(OpFamily::Invocations, LsmOperation::FileOpen), 1);
         let snap = m.chain_snapshot(&ChainName::Input).unwrap();
         assert_eq!(snap.evaluated, [0, 0, 1]);
         assert_eq!(snap.hits, [0, 0, 1]);
-        assert_eq!(m.field_counts(CtxField::ResourceId), (1, 0, 1));
+        assert_eq!(m.field_values(CtxField::ResourceId), [1, 0, 1, 0]);
+        // The always-on total counted both invocations.
+        assert_eq!(m.invocations(), 2);
     }
 
     #[test]
@@ -1547,10 +1231,9 @@ mod tests {
             let m = m.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..5000 {
-                    m.bump_invocations();
-                    m.bump_default_allows();
-                    m.op_invoked(LsmOperation::FileOpen);
-                    m.rule_evaluated(&ChainName::Input, 1);
+                    m.bump_op(OpFamily::Invocations, LsmOperation::FileOpen);
+                    m.bump(Counter::DefaultAllows);
+                    m.rule_bump(RuleFamily::Evaluated, &ChainName::Input, 1);
                 }
             }));
         }
@@ -1559,7 +1242,10 @@ mod tests {
         }
         assert_eq!(m.invocations(), 20_000);
         assert_eq!(m.default_allows(), 20_000);
-        assert_eq!(m.op_invocations(LsmOperation::FileOpen), 20_000);
+        assert_eq!(
+            m.op_count(OpFamily::Invocations, LsmOperation::FileOpen),
+            20_000
+        );
         let snap = m.chain_snapshot(&ChainName::Input).unwrap();
         assert_eq!(snap.evaluated, [0, 20_000]);
     }
@@ -1579,10 +1265,10 @@ mod tests {
                 let m = m.clone();
                 handles.push(std::thread::spawn(move || {
                     for _ in 0..2500 {
-                        m.rule_evaluated(&ChainName::Input, 0);
-                        m.rule_evaluated(&ChainName::Input, 2);
-                        m.rule_hit(&ChainName::Input, 2);
-                        m.rule_throttled_slow(&ChainName::Output, 1);
+                        m.rule_bump(RuleFamily::Evaluated, &ChainName::Input, 0);
+                        m.rule_bump(RuleFamily::Evaluated, &ChainName::Input, 2);
+                        m.rule_bump(RuleFamily::Hits, &ChainName::Input, 2);
+                        m.rule_slow(RuleFamily::Throttled, &ChainName::Output, 1);
                     }
                 }));
             }
@@ -1667,9 +1353,8 @@ mod tests {
     fn prometheus_lines_parse_as_name_labels_value() {
         let m = Metrics::new();
         m.set_detailed(true);
-        m.bump_invocations();
-        m.op_invoked(LsmOperation::FileOpen);
-        m.rule_evaluated(&ChainName::User("side".into()), 1);
+        m.bump_op(OpFamily::Invocations, LsmOperation::FileOpen);
+        m.rule_bump(RuleFamily::Evaluated, &ChainName::User("side".into()), 1);
         m.observe_fetch(CtxField::ResourceId, m.timer(), false);
         m.observe_eval(m.timer());
         let text = m.render_prometheus();
@@ -1699,127 +1384,166 @@ mod tests {
         }
     }
 
+    /// The value of the Prometheus sample `series` (name plus labels).
+    fn prom_value(text: &str, series: &str) -> Option<u64> {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+    }
+
+    /// The flat `"key":number` pairs of the JSON object whose body
+    /// starts right after `open`.
+    fn json_pairs(json: &str, open: &str) -> BTreeMap<String, u64> {
+        let start = json.find(open).unwrap_or_else(|| panic!("no `{open}`")) + open.len();
+        let body = &json[start..start + json[start..].find('}').unwrap()];
+        body.split(',')
+            .filter(|kv| !kv.is_empty())
+            .map(|kv| {
+                let (k, v) = kv.split_once(':').unwrap();
+                (k.trim_matches('"').to_owned(), v.parse().unwrap())
+            })
+            .collect()
+    }
+
     #[test]
-    fn vcache_counters_export_and_reset() {
+    fn every_descriptor_row_exports_identically_and_resets() {
         let m = Metrics::new();
         m.set_detailed(true);
-        m.bump_vcache_hit(LsmOperation::FileOpen);
-        m.bump_vcache_hit(LsmOperation::FileOpen);
-        m.bump_vcache_miss(LsmOperation::FileOpen);
-        m.bump_vcache_uncacheable(LsmOperation::SocketBind);
-        m.bump_jump_depth_exceeded();
-        assert_eq!(m.vcache_hits(), 2);
-        assert_eq!(m.vcache_misses(), 1);
-        assert_eq!(m.vcache_uncacheable(), 1);
-        assert_eq!(m.jump_depth_exceeded(), 1);
-        assert_eq!(m.vcache_op_counts(LsmOperation::FileOpen), (2, 1, 0));
-        assert_eq!(m.vcache_op_counts(LsmOperation::SocketBind), (0, 0, 1));
+        let op = LsmOperation::SocketBind;
+        let field = CtxField::ResourceId;
+        // Distinct values per row catch a row wired to the wrong slot.
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            m.add(c, i as u64 + 1);
+        }
+        for (i, f) in OpFamily::ALL.into_iter().enumerate() {
+            m.per_op[f as usize].add(op as usize, 100 + i as u64);
+        }
+        for (i, f) in RuleFamily::ALL.into_iter().enumerate() {
+            for _ in 0..200 + i {
+                m.rule_slow(f, &ChainName::Input, 0);
+            }
+        }
+        for (i, f) in FieldFamily::ALL.into_iter().enumerate() {
+            m.fields[f as usize].add(field.bit() as usize, 300 + i as u64);
+        }
+        for (i, which) in Latency::ALL.into_iter().enumerate() {
+            for v in 0..=i as u64 {
+                m.latency[which as usize].record(v);
+            }
+        }
+
         let text = m.render_prometheus();
-        assert!(text.contains("pf_vcache_hits_total 2"));
-        assert!(text.contains("pf_vcache_misses_total 1"));
-        assert!(text.contains("pf_vcache_uncacheable_total 1"));
-        assert!(text.contains("pf_jump_depth_exceeded_total 1"));
-        assert!(text.contains("pf_vcache_op_hits_total{op=\"FILE_OPEN\"} 2"));
-        assert!(text.contains("pf_vcache_op_uncacheable_total{op=\"SOCKET_BIND\"} 1"));
         let json = m.to_json();
-        assert!(json.contains("\"vcache_hits\":2"));
-        assert!(json.contains("\"jump_depth_exceeded\":1"));
+        let counters = json_pairs(&json, "\"counters\":{");
+        for ((i, d), c) in COUNTERS.iter().enumerate().zip(Counter::ALL) {
+            let v = i as u64 + 1;
+            assert_eq!(m.get(c), v, "{}", d.json);
+            assert_eq!(prom_value(&text, d.prom), Some(v), "{}", d.prom);
+            assert_eq!(counters[d.json], v, "{}", d.json);
+        }
+        assert_eq!(counters.len(), COUNTERS.len());
+        for (i, d) in OP_FAMILIES.iter().enumerate() {
+            let v = 100 + i as u64;
+            let series = format!("{}{{op=\"{}\"}}", d.prom, op.name());
+            assert_eq!(prom_value(&text, &series), Some(v), "{series}");
+            let ops = json_pairs(&json, &format!("\"{}\":{{", d.json));
+            assert_eq!(ops[op.name()], v, "{}", d.json);
+        }
+        let rule = json_pairs(&json, "\"input\":[{");
+        for (i, d) in RULE_FAMILIES.iter().enumerate() {
+            let v = 200 + i as u64;
+            let series = format!("{}{{chain=\"input\",rule=\"0\"}}", d.prom);
+            assert_eq!(prom_value(&text, &series), Some(v), "{series}");
+            assert_eq!(rule[d.json], v, "{}", d.json);
+        }
+        let fields = json_pairs(&json, &format!("\"{}\":{{", field.cname()));
+        for (i, d) in FIELD_FAMILIES.iter().enumerate() {
+            let v = 300 + i as u64;
+            let series = format!("{}{{field=\"{}\"}}", d.prom, field.cname());
+            assert_eq!(prom_value(&text, &series), Some(v), "{series}");
+            assert_eq!(fields[d.json], v, "{}", d.json);
+        }
+        for (i, d) in LATENCY.iter().enumerate() {
+            let v = i as u64 + 1;
+            assert_eq!(prom_value(&text, &format!("{}_count", d.prom)), Some(v));
+            let summary = json_pairs(&json, &format!("\"{}\":{{", d.json));
+            assert_eq!(summary["count"], v, "{}", d.json);
+        }
+
         m.reset();
-        assert_eq!(m.vcache_hits(), 0);
-        assert_eq!(m.jump_depth_exceeded(), 0);
-        assert_eq!(m.vcache_op_counts(LsmOperation::FileOpen), (0, 0, 0));
+        let text = m.render_prometheus();
+        let json = m.to_json();
+        let counters = json_pairs(&json, "\"counters\":{");
+        for (d, c) in COUNTERS.iter().zip(Counter::ALL) {
+            assert_eq!(m.get(c), 0, "{}", d.json);
+            assert_eq!(prom_value(&text, d.prom), Some(0), "{}", d.prom);
+            assert_eq!(counters[d.json], 0, "{}", d.json);
+        }
+        for d in OP_FAMILIES {
+            assert!(!text.contains(d.prom), "{}", d.prom);
+            assert!(json_pairs(&json, &format!("\"{}\":{{", d.json)).is_empty());
+        }
+        for d in RULE_FAMILIES.iter().chain(FIELD_FAMILIES) {
+            assert!(!text.contains(d.prom), "{}", d.prom);
+        }
+        assert!(json.contains("\"chains\":{},\"fields\":{}"));
+        for d in LATENCY {
+            assert_eq!(prom_value(&text, &format!("{}_count", d.prom)), Some(0));
+            assert_eq!(json_pairs(&json, &format!("\"{}\":{{", d.json))["count"], 0);
+        }
     }
 
     #[test]
-    fn throttle_counters_export_and_reset() {
-        let m = Metrics::new();
-        m.set_detailed(true);
-        m.bump_ratelimit_throttled(LsmOperation::ProcessSignalDelivery, &ChainName::Input, 0);
-        m.bump_ratelimit_throttled(LsmOperation::ProcessSignalDelivery, &ChainName::Input, 0);
-        m.bump_quota_exceeded(LsmOperation::FileCreate, &ChainName::Input, 1);
-        assert_eq!(m.ratelimit_throttled(), 2);
-        assert_eq!(m.quota_exceeded(), 1);
-        assert_eq!(
-            m.throttle_op_counts(LsmOperation::ProcessSignalDelivery),
-            (2, 0)
-        );
-        assert_eq!(m.throttle_op_counts(LsmOperation::FileCreate), (0, 1));
-        let snap = m.chain_snapshot(&ChainName::Input).unwrap();
-        assert_eq!(snap.throttled, vec![2, 1]);
-        let text = m.render_prometheus();
-        assert!(text.contains("pf_ratelimit_throttled_total 2"));
-        assert!(text.contains("pf_quota_exceeded_total 1"));
-        assert!(text.contains("pf_ratelimit_op_throttled_total{op=\"PROCESS_SIGNAL_DELIVERY\"} 2"));
-        assert!(text.contains("pf_quota_op_exceeded_total{op=\"FILE_CREATE\"} 1"));
-        assert!(text.contains("pf_rule_throttled_total{chain=\"input\",rule=\"0\"} 2"));
-        let json = m.to_json();
-        assert!(json.contains("\"ratelimit_throttled\":2"));
-        assert!(json.contains("\"quota_exceeded\":1"));
-        m.reset();
-        assert_eq!(m.ratelimit_throttled(), 0);
-        assert_eq!(m.quota_exceeded(), 0);
-        assert_eq!(
-            m.throttle_op_counts(LsmOperation::ProcessSignalDelivery),
-            (0, 0)
-        );
-        // The always-on totals record even with the detail layer off.
-        m.set_detailed(false);
-        m.bump_quota_exceeded(LsmOperation::FileCreate, &ChainName::Input, 0);
-        assert_eq!(m.quota_exceeded(), 1);
-        assert_eq!(m.throttle_op_counts(LsmOperation::FileCreate), (0, 0));
+    fn every_prometheus_family_is_documented() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let tables = [
+            COUNTERS,
+            OP_FAMILIES,
+            RULE_FAMILIES,
+            FIELD_FAMILIES,
+            LATENCY,
+            EVENT_ROWS,
+            LOG_ROWS,
+        ];
+        for d in tables.iter().flat_map(|table| table.iter()) {
+            assert!(
+                doc.contains(&format!("`{}", d.prom)),
+                "docs/OBSERVABILITY.md does not list `{}`",
+                d.prom
+            );
+        }
     }
 
     #[test]
-    fn rulesetc_counters_export_and_reset() {
+    fn check_names_each_violated_invariant() {
         let m = Metrics::new();
-        m.bump_rulesetc_dispatch();
-        m.bump_rulesetc_dispatch();
-        m.bump_rulesetc_fallback();
-        assert_eq!(m.rulesetc_dispatch(), 2);
-        assert_eq!(m.rulesetc_fallback(), 1);
-        let text = m.render_prometheus();
-        assert!(text.contains("pf_rulesetc_dispatch_total 2"));
-        assert!(text.contains("pf_rulesetc_fallback_total 1"));
-        let json = m.to_json();
-        assert!(json.contains("\"rulesetc_dispatch\":2"));
-        assert!(json.contains("\"rulesetc_fallback\":1"));
+        assert!(m.check().is_empty());
+        m.bump(Counter::Invocations);
+        m.bump(Counter::Drops);
+        m.bump(Counter::DegradedDrops);
+        assert!(m.check().is_empty());
+        m.bump(Counter::DegradedDrops);
+        m.bump(Counter::DegradedAllows);
+        m.add(Counter::VcacheHits, 2);
+        let violated = m.check();
+        assert_eq!(violated.len(), 3, "{violated:?}");
+        assert_eq!(violated[0], "degraded_drops <= drops violated: 2 vs 1");
+        assert!(violated[1].starts_with("degraded_allows <= accepts"));
+        assert!(violated[2].ends_with("<= invocations violated: 2 vs 1"));
+        m.bump(Counter::Accepts);
+        let violated = m.check();
+        assert_eq!(violated.len(), 3, "{violated:?}");
+        assert!(violated[0].ends_with("== invocations violated: 2 vs 1"));
         m.reset();
-        assert_eq!(m.rulesetc_dispatch(), 0);
-        assert_eq!(m.rulesetc_fallback(), 0);
-    }
-
-    #[test]
-    fn origin_counters_export_and_reset() {
-        let m = Metrics::new();
-        m.bump_origin_transition();
-        m.bump_origin_transition();
-        m.bump_origin_widened();
-        m.bump_origin_vcache_invalidation();
-        assert_eq!(m.origin_transitions(), 2);
-        assert_eq!(m.origin_widened(), 1);
-        assert_eq!(m.origin_vcache_invalidations(), 1);
-        let text = m.render_prometheus();
-        assert!(text.contains("pf_origin_transitions_total 2"));
-        assert!(text.contains("pf_origin_widened_total 1"));
-        assert!(text.contains("pf_origin_vcache_invalidations_total 1"));
-        let json = m.to_json();
-        assert!(json.contains("\"origin_transitions\":2"));
-        assert!(json.contains("\"origin_widened\":1"));
-        assert!(json.contains("\"origin_vcache_invalidations\":1"));
-        m.reset();
-        assert_eq!(m.origin_transitions(), 0);
-        assert_eq!(m.origin_widened(), 0);
-        assert_eq!(m.origin_vcache_invalidations(), 0);
+        assert!(m.check().is_empty());
     }
 
     #[test]
     fn json_snapshot_shape() {
         let m = Metrics::new();
         m.set_detailed(true);
-        m.bump_invocations();
-        m.bump_default_allows();
-        m.op_invoked(LsmOperation::SocketBind);
-        m.rule_evaluated(&ChainName::Input, 0);
+        m.bump_op(OpFamily::Invocations, LsmOperation::SocketBind);
+        m.bump(Counter::DefaultAllows);
+        m.rule_bump(RuleFamily::Evaluated, &ChainName::Input, 0);
         let json = m.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"invocations\":1"));

@@ -99,24 +99,14 @@ impl Shell {
                     .collect::<Vec<_>>()
                     .join("\n"))
             }
-            ["stats"] => {
-                let s = self.kernel.firewall.stats();
-                Ok(format!(
-                    "invocations={} rules_evaluated={} ctx_fetches={} cache_hits={} drops={} \
-                     vcache_hits={} vcache_misses={} vcache_uncacheable={} \
-                     rulesetc_dispatch={} rulesetc_fallback={}",
-                    s.invocations(),
-                    s.rules_evaluated(),
-                    s.ctx_fetches(),
-                    s.cache_hits(),
-                    s.drops(),
-                    s.vcache_hits(),
-                    s.vcache_misses(),
-                    s.vcache_uncacheable(),
-                    s.rulesetc_dispatch(),
-                    s.rulesetc_fallback()
-                ))
-            }
+            ["stats"] => Ok(self
+                .kernel
+                .firewall
+                .metrics()
+                .counters()
+                .map(|(d, v)| format!("{}={v}", d.json))
+                .collect::<Vec<_>>()
+                .join(" ")),
             ["as", pid, rest @ ..] => {
                 let pid = Pid(pid.parse().map_err(|e| format!("bad pid: {e}"))?);
                 self.run_syscall(pid, rest)

@@ -265,6 +265,7 @@ fn stress_with_hot_reloads(level: OptLevel) {
         m.invocations(),
         "lost counter updates under contention"
     );
+    assert_eq!(m.check(), Vec::<String>::new(), "counter invariants");
 
     // At RULESETC the workers must actually have gone through the
     // compiled artifact (at minimum on every per-generation cache

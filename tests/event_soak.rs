@@ -313,6 +313,11 @@ fn event_plane_exact_accounting_under_8_thread_soak() {
             last = generation;
         }
     }
+    assert_eq!(
+        fw.metrics().check(),
+        Vec::<String>::new(),
+        "counter invariants"
+    );
 }
 
 /// Single-threaded control-event semantics: a successful batch emits

@@ -508,6 +508,7 @@ fn soak_ten_percent_unwind_faults_never_let_an_exploit_through() {
         m.invocations(),
         "counter conservation broke under faults"
     );
+    assert_eq!(m.check(), Vec::<String>::new(), "counter invariants");
 }
 
 #[test]
@@ -570,6 +571,7 @@ fn eight_thread_soak_over_full_ruleset_under_faults() {
         m.invocations(),
         "counter conservation broke under concurrent faults"
     );
+    assert_eq!(m.check(), Vec::<String>::new(), "counter invariants");
     assert!(injector.stats().total() > 0);
 }
 

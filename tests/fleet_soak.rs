@@ -355,6 +355,11 @@ fn fleet_soak_exact_accounting_under_racing_reloads() {
         n,
         "each reload publishes exactly one generation"
     );
+    assert_eq!(
+        shared.metrics().check(),
+        Vec::<String>::new(),
+        "counter invariants"
+    );
 }
 
 /// The regression the bounded sink exists for: a producer that is never
