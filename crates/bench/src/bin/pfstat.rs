@@ -3,7 +3,7 @@
 //! Runs one pf-attacks workload under the full rule base (EPTSPC) with
 //! detailed metrics enabled and decision-event sampling at `always`,
 //! then prints the counter/histogram report: every always-on counter
-//! with a health line from `Metrics::check`, the per-operation splits,
+//! with a health line from `ProcessFirewall::check`, the per-operation splits,
 //! per-rule evaluated/hit counters,
 //! per-context-field fetch statistics, the evaluation / context-fetch
 //! latency histograms, the decision-event plane tallies, and live
@@ -85,9 +85,9 @@ fn report(k: &pf_os::Kernel, workload: &str) {
     for (d, v) in m.counters() {
         println!("{:<28} {v:>12}  {}", d.json, d.help);
     }
-    let violated = m.check();
+    let violated = k.firewall.check();
     if violated.is_empty() {
-        println!("health: ok (every counter invariant holds)");
+        println!("health: ok (every accounting invariant holds)");
     } else {
         for v in &violated {
             println!("health: VIOLATED {v}");

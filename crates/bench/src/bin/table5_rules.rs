@@ -31,7 +31,7 @@ fn main() {
     println!(
         "All {} rules parsed and installed; {} entrypoint-specific chains built.",
         k.firewall.rule_count(),
-        k.firewall.base().entrypoint_chain_count()
+        k.firewall.base().input_by_entrypoint().entrypoint_count()
     );
 
     println!();

@@ -20,10 +20,9 @@
 //! asserted here: the RATELIMIT deny path is within 1.5x of plain DROP
 //! and the granted path performs zero heap allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use pf_bench::allocations;
 use pf_core::{EvalEnv, ObjectInfo, OptLevel, ProcessFirewall, SignalInfo};
 use pf_mac::{ubuntu_mini, MacPolicy};
 use pf_types::{
@@ -31,42 +30,8 @@ use pf_types::{
     Verdict,
 };
 
-// ---------------------------------------------------------------------
-// Counting allocator: every heap allocation in the process ticks a
-// counter, so a bench region can assert it allocated nothing.
-// ---------------------------------------------------------------------
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+static GLOBAL: pf_bench::CountingAlloc = pf_bench::CountingAlloc;
 
 // ---------------------------------------------------------------------
 // A minimal engine-level environment with an explicit virtual clock

@@ -13,6 +13,8 @@
 //! which configuration wins, by roughly what factor, and where the
 //! crossovers fall — is the reproduction target (see EXPERIMENTS.md).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use pf_attacks::ruleset::{full_rule_base, FULL_RULE_COUNT};
@@ -157,6 +159,51 @@ pub fn combine_metrics_json(sections: &[(String, String)]) -> String {
     }
     out.push('}');
     out
+}
+
+/// A global allocator that counts every allocation (and reallocation)
+/// in the process, so a bench region can assert it allocated nothing.
+/// A bench bin installs it with
+/// `#[global_allocator] static GLOBAL: pf_bench::CountingAlloc = pf_bench::CountingAlloc;`
+/// and reads the tally with [`allocations`].
+pub struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` contract is exactly the one `System` needs;
+// the counter is a relaxed statistic that publishes no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded as is; see the impl.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded as is; see the impl.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded as is; `ptr` came from this allocator, hence
+        // from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded as is; `ptr` came from this allocator, hence
+        // from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocations [`CountingAlloc`] has counted so far; stays 0 in a
+/// binary that did not install it.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 pub mod fleet;

@@ -2,13 +2,15 @@
 //!
 //! Network firewalls let administrators organize rules into chains by
 //! hand; the Process Firewall builds chains *automatically* from rule
-//! entrypoints (Section 4.3). Partitioning preserves verdicts **only
-//! if install order is preserved**: ACCEPT, RETURN, LOG, and STATE
-//! rules make outcomes order-dependent, so the engine walks the
-//! generic and entrypoint-bound partitions as a merge over the index
-//! vectors below (ascending install indices), never one partition
-//! after the other. The partition changes how many rules the engine
-//! must look at, not the order in which the surviving ones run.
+//! entrypoints (Section 4.3). The rule base's compile step indexes the
+//! input chain twice with [`CompiledDispatch`]: on the entrypoint alone
+//! (EPTSPC's per-entrypoint chains) and on operation, label and
+//! entrypoint (RULESETC). Partitioning preserves verdicts **only if
+//! install order is preserved**: ACCEPT, RETURN, LOG, and STATE rules
+//! make outcomes order-dependent, so the engine walks the selected
+//! buckets as an ascending merge of install indices, never one
+//! partition after the other. The index changes how many rules the
+//! engine must look at, not the order in which the surviving ones run.
 //!
 //! Every chain also carries a compiled **op column**: one byte per rule
 //! holding its `-o` selector (or `OP_ANY`). The engine rejects a rule
@@ -27,9 +29,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use pf_types::{LsmOperation, PfError, PfResult, ProgramId};
+use pf_types::{LsmOperation, PfError, PfResult};
 
-use crate::compile::CompiledDispatch;
+use crate::compile::{CompiledDispatch, Dimensions};
 use crate::rule::{CtxPolicy, Rule, Target};
 
 /// A chain designator.
@@ -129,7 +131,7 @@ impl Deref for Chain {
 }
 
 /// The installed rules, per chain, in evaluation order, plus the compiled
-/// entrypoint index used by the EPTSPC optimization.
+/// input-chain indexes used by EPTSPC and RULESETC.
 ///
 /// `Clone` supports the engine's copy-on-write reload path: rule edits
 /// clone the current base, mutate the copy, and publish it as a fresh
@@ -137,10 +139,6 @@ impl Deref for Chain {
 #[derive(Debug, Clone)]
 pub struct RuleBase {
     chains: BTreeMap<ChainName, Chain>,
-    /// Indices (into the input chain) of rules without an entrypoint.
-    input_generic: Vec<usize>,
-    /// Entrypoint → indices of input-chain rules bound to it.
-    input_by_ept: HashMap<(ProgramId, u64), Vec<usize>>,
     /// Static cacheability summary: `true` when every rule reachable
     /// from the built-in chains (following `-j` jumps) is pure for the
     /// verdict cache. Conservative and advisory — the engine also
@@ -150,9 +148,11 @@ pub struct RuleBase {
     /// Chain-level `--ctx-missing` defaults (`pftables -P chain
     /// --ctx-missing ...`), consulted when a rule has no override.
     ctx_defaults: BTreeMap<ChainName, CtxPolicy>,
-    /// RULESETC artifact: the input chain compiled into per-(op, label,
-    /// entrypoint) dispatch buckets (see `compile.rs`). Rebuilt by
-    /// [`RuleBase::recompile`] alongside the EPTSPC partition.
+    /// EPTSPC artifact: the input chain indexed on the entrypoint alone
+    /// (see `compile.rs`). Rebuilt by [`RuleBase::recompile`].
+    input_by_entrypoint: CompiledDispatch,
+    /// RULESETC artifact: the input chain indexed on (op, label,
+    /// entrypoint). Rebuilt alongside `input_by_entrypoint`.
     input_dispatch: CompiledDispatch,
     /// Batch-compile mode: while set, mutators only mark [`Self::dirty`]
     /// instead of recompiling, so an N-rule reload compiles once instead
@@ -169,10 +169,9 @@ impl Default for RuleBase {
     fn default() -> Self {
         RuleBase {
             chains: BTreeMap::new(),
-            input_generic: Vec::new(),
-            input_by_ept: HashMap::new(),
             statically_cacheable: true,
             ctx_defaults: BTreeMap::new(),
+            input_by_entrypoint: CompiledDispatch::default(),
             input_dispatch: CompiledDispatch::default(),
             deferred: false,
             dirty: false,
@@ -368,27 +367,16 @@ impl RuleBase {
     }
 
     /// Snapshot compile step, run on every rule-base mutation: rebuilds
-    /// every chain's op column, the entrypoint partition of the input
-    /// chain, the RULESETC dispatch tables, and the static cacheability
-    /// summary.
+    /// every chain's op column, both input-chain indexes, and the static
+    /// cacheability summary.
     fn recompile(&mut self) {
         for c in self.chains.values_mut() {
             c.compile_ops();
         }
-        self.input_generic.clear();
-        self.input_by_ept.clear();
         self.statically_cacheable = self.compute_statically_cacheable();
-        let Some(input) = self.chains.get(&ChainName::Input) else {
-            self.input_dispatch = CompiledDispatch::default();
-            return;
-        };
-        self.input_dispatch = CompiledDispatch::compile(input);
-        for (i, rule) in input.iter().enumerate() {
-            match rule.def.entrypoint() {
-                Some(key) => self.input_by_ept.entry(key).or_default().push(i),
-                None => self.input_generic.push(i),
-            }
-        }
+        let input = self.chains.get(&ChainName::Input).unwrap_or(&EMPTY_CHAIN);
+        self.input_by_entrypoint = CompiledDispatch::compile(input, Dimensions::Entrypoint);
+        self.input_dispatch = CompiledDispatch::compile(input, Dimensions::All);
     }
 
     /// Walks the jump graph from the built-in chains and reports whether
@@ -423,22 +411,14 @@ impl RuleBase {
         self.statically_cacheable
     }
 
-    /// Indices of input-chain rules with no entrypoint (always scanned).
-    pub fn input_generic(&self) -> &[usize] {
-        &self.input_generic
+    /// The input chain indexed on the entrypoint alone: EPTSPC's
+    /// per-entrypoint chains, and RULESETC's walk when the object label
+    /// cannot be fetched.
+    pub fn input_by_entrypoint(&self) -> &CompiledDispatch {
+        &self.input_by_entrypoint
     }
 
-    /// Indices of input-chain rules bound to `ept`, if any.
-    pub fn input_for_entrypoint(&self, ept: (ProgramId, u64)) -> Option<&[usize]> {
-        self.input_by_ept.get(&ept).map(Vec::as_slice)
-    }
-
-    /// Number of distinct entrypoint-specific chains.
-    pub fn entrypoint_chain_count(&self) -> usize {
-        self.input_by_ept.len()
-    }
-
-    /// The compiled RULESETC dispatch tables for the input chain.
+    /// The input chain indexed on (op, label, entrypoint): RULESETC.
     pub fn input_dispatch(&self) -> &CompiledDispatch {
         &self.input_dispatch
     }
@@ -510,13 +490,15 @@ mod tests {
         rb.add(ChainName::Input, rule("e1", Some((1, 0x10))), false);
         rb.add(ChainName::Input, rule("e1b", Some((1, 0x10))), false);
         rb.add(ChainName::Input, rule("e2", Some((2, 0x20))), false);
-        assert_eq!(rb.input_generic(), &[0]);
-        assert_eq!(
-            rb.input_for_entrypoint((InternId(1), 0x10)).unwrap(),
-            &[1, 2]
-        );
-        assert_eq!(rb.entrypoint_chain_count(), 2);
-        assert!(rb.input_for_entrypoint((InternId(9), 0x9)).is_none());
+        let view = rb.input_by_entrypoint();
+        assert_eq!(view.generic_rule_count(), 1);
+        assert_eq!(view.entrypoint_count(), 2);
+        let walk = |ept: (u32, u64)| {
+            view.select(LsmOperation::FileOpen, None, Some((InternId(ept.0), ept.1)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(walk((1, 0x10)), [0, 1, 2]);
+        assert_eq!(walk((9, 0x9)), [0]);
     }
 
     #[test]
@@ -526,7 +508,7 @@ mod tests {
         rb.add(ChainName::Input, rule("b", Some((1, 2))), false);
         rb.delete(&ChainName::Input, "b").unwrap();
         assert_eq!(rb.len(), 1);
-        assert!(rb.input_for_entrypoint((InternId(1), 2)).is_none());
+        assert_eq!(rb.input_by_entrypoint().entrypoint_count(), 0);
         assert!(rb.delete(&ChainName::Input, "zzz").is_err());
     }
 

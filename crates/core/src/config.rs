@@ -17,8 +17,10 @@ pub struct PfConfig {
     /// LAZYCON: gather a context field only when a rule's match actually
     /// needs it, instead of building the full "packet" up front.
     pub lazy_context: bool,
-    /// EPTSPC: organize entrypoint-bearing rules into chains keyed by
-    /// (program, pc) so only the applicable chain is traversed.
+    /// EPTSPC: walk the input chain through its entrypoint-only
+    /// compiled dispatch (`compile.rs`): the caller's (program, pc)
+    /// chain merged in install order with the generic rules, so rules
+    /// bound to other entrypoints are never traversed.
     pub entrypoint_chains: bool,
     /// VCACHE: memoize whole verdicts in a per-task cache keyed by the
     /// operation and its key context fields, consulted before the chain

@@ -42,7 +42,6 @@ use pf_types::{Interner, LsmOperation, PfResult, Verdict};
 use pf_mac::MacPolicy;
 
 use crate::chain::{Chain, ChainName};
-use crate::compile::MergeDispatch;
 use crate::config::{OptLevel, PfConfig};
 use crate::context::Packet;
 use crate::env::{CtxError, EvalEnv, Fetched};
@@ -53,8 +52,8 @@ use crate::events::{
 use crate::lang::{parse_command, Command, RuleOp};
 use crate::log::{LogDrain, LogEntry, LogSink};
 use crate::metrics::{
-    json_rows, prom_label_esc, prom_rows, Counter, Metrics, OpFamily, RuleFamily, TraceEvent,
-    EVENT_ROWS, LOG_ROWS,
+    json_rows, prom_label_esc, prom_rows, violations, Counter, Metrics, OpFamily, RuleFamily,
+    TraceEvent, EVENT_ROWS, LOG_ROWS,
 };
 use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleSlotState};
 use crate::rule::{CtxPolicy, MatchModule, Rule, Target};
@@ -293,84 +292,8 @@ impl ProcessFirewall {
         mac: &mut MacPolicy,
         programs: &mut Interner,
     ) -> PfResult<usize> {
-        let mut cmds = Vec::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            cmds.push(parse_command(line, mac, programs)?);
-        }
-        let sampling = split_sampling(&mut cmds);
-        let n = cmds.len() + sampling.len();
-        if cmds.is_empty() {
-            // Only `-E` directives (or nothing): no snapshot to build.
-            for mode in sampling {
-                self.events.set_sampling(mode);
-            }
-            return Ok(n);
-        }
-        let before = self.shared.load();
-        let t0 = Instant::now();
-        self.events.emit_control(
-            EventKind::ReloadBegin,
-            before.generation(),
-            0,
-            0,
-            before.len() as u64,
-            0,
-        );
-        match self.shared.update(|d| {
-            for cmd in cmds {
-                apply_command(d, cmd)?;
-            }
-            Ok(())
-        }) {
-            Ok(((), generation)) => {
-                for mode in sampling {
-                    self.events.set_sampling(mode);
-                }
-                self.note_batch_commit(&before, t0, generation);
-                Ok(n)
-            }
-            Err(e) => {
-                self.note_batch_abort(&before, t0);
-                Err(e)
-            }
-        }
-    }
-
-    /// Emits the commit event for a successful batch edit. Runs after
-    /// any batched `-E` directives took effect, so a batch that *turns
-    /// sampling on* records its own commit; the rule diff is computed
-    /// only when the plane ends up armed.
-    fn note_batch_commit(&self, before: &RulesetSnapshot, t0: Instant, generation: u64) {
-        if self.events.sampling() == SamplingMode::Off {
-            return;
-        }
-        let after = self.shared.load();
-        self.events.emit_control(
-            EventKind::ReloadCommit,
-            generation,
-            t0.elapsed().as_nanos() as u64,
-            before.rule_diff(&after),
-            after.len() as u64,
-            after.compile_ns(),
-        );
-    }
-
-    /// Emits the abort event for a failed batch edit: the published
-    /// snapshot is untouched, so the event carries the *surviving*
-    /// generation and rule count.
-    fn note_batch_abort(&self, before: &RulesetSnapshot, t0: Instant) {
-        self.events.emit_control(
-            EventKind::ReloadAbort,
-            before.generation(),
-            t0.elapsed().as_nanos() as u64,
-            0,
-            before.len() as u64,
-            0,
-        );
+        self.apply_batch(lines, mac, programs, false)
+            .map(|(n, _)| n)
     }
 
     /// `pftables-restore`: atomically **replaces** the whole rule base
@@ -387,6 +310,20 @@ impl ProcessFirewall {
         mac: &mut MacPolicy,
         programs: &mut Interner,
     ) -> PfResult<(usize, u64)> {
+        self.apply_batch(lines, mac, programs, true)
+    }
+
+    /// The batch edit behind [`Self::install_all`] and (with `replace`,
+    /// which wipes the base first) [`Self::reload`]: parse every line,
+    /// then apply them all to one draft, bracketed by reload
+    /// begin/commit/abort events.
+    fn apply_batch<'a>(
+        &self,
+        lines: impl IntoIterator<Item = &'a str>,
+        mac: &mut MacPolicy,
+        programs: &mut Interner,
+        replace: bool,
+    ) -> PfResult<(usize, u64)> {
         let mut cmds = Vec::new();
         for line in lines {
             let line = line.trim();
@@ -397,6 +334,13 @@ impl ProcessFirewall {
         }
         let sampling = split_sampling(&mut cmds);
         let n = cmds.len() + sampling.len();
+        if cmds.is_empty() && !replace {
+            // Only `-E` directives (or nothing): no snapshot to build.
+            for mode in sampling {
+                self.events.set_sampling(mode);
+            }
+            return Ok((n, self.generation()));
+        }
         let before = self.shared.load();
         let t0 = Instant::now();
         self.events.emit_control(
@@ -408,21 +352,36 @@ impl ProcessFirewall {
             0,
         );
         match self.shared.update(|d| {
-            d.reset_base();
+            if replace {
+                d.reset_base();
+            }
             for cmd in cmds {
                 apply_command(d, cmd)?;
             }
             Ok(())
         }) {
             Ok(((), generation)) => {
+                // After the batch's own `-E` directives, so a batch that
+                // *turns sampling on* records its own commit.
                 for mode in sampling {
                     self.events.set_sampling(mode);
                 }
-                self.note_batch_commit(&before, t0, generation);
+                if self.events.sampling() != SamplingMode::Off {
+                    self.note_commit(Some((before, t0)), generation);
+                }
                 Ok((n, generation))
             }
             Err(e) => {
-                self.note_batch_abort(&before, t0);
+                // The published snapshot is untouched, so the event
+                // carries the *surviving* generation and rule count.
+                self.events.emit_control(
+                    EventKind::ReloadAbort,
+                    before.generation(),
+                    t0.elapsed().as_nanos() as u64,
+                    0,
+                    before.len() as u64,
+                    0,
+                );
                 Err(e)
             }
         }
@@ -514,14 +473,35 @@ impl ProcessFirewall {
 
     /// The [`LOG_ROWS`] values, in table order.
     fn log_values(&self) -> [u64; LOG_ROWS.len()] {
-        let l = &self.logs;
-        [
-            l.emitted(),
-            l.drained(),
-            l.dropped(),
-            l.len() as u64,
-            l.capacity() as u64,
-        ]
+        let [emitted, drained, dropped, len] = self.logs.accounting();
+        [emitted, drained, dropped, len, self.logs.capacity() as u64]
+    }
+
+    /// The always-on accounting invariants that are violated right now,
+    /// one message each; empty when all hold. [`Metrics::check`] plus
+    /// the decision-event plane's `drained + dropped <= emitted` and the
+    /// LOG sink's exact `drained + dropped + len == emitted`.
+    pub fn check(&self) -> Vec<String> {
+        let ev = self.events.drained() + self.events.dropped();
+        let emitted = self.events.emitted();
+        let [log_emitted, drained, dropped, len] = self.logs.accounting();
+        let log = drained + dropped + len;
+        let mut out = self.metrics.check();
+        out.extend(violations([
+            (
+                "events drained + dropped <= emitted",
+                ev <= emitted,
+                ev,
+                emitted,
+            ),
+            (
+                "log drained + dropped + len == emitted",
+                log == log_emitted,
+                log,
+                log_emitted,
+            ),
+        ]));
+        out
     }
 
     /// Renders the firewall-wide Prometheus exposition: everything in
@@ -742,6 +722,7 @@ impl ProcessFirewall {
         // VCACHE: consult the verdict cache before walking. Key fetches
         // go through the memoizing packet, so a miss's walk reuses them.
         let mut cache_ctx = None;
+        let mut hit = None;
         if let Some(vc) = cache {
             if config.verdict_cache && !snap.is_empty() {
                 // Adversary-model soundness: a taint widening (or a
@@ -766,55 +747,17 @@ impl ProcessFirewall {
                             if let Some(entry) = vc.lookup(&key) {
                                 self.metrics.bump_op(OpFamily::VcacheHits, op);
                                 vc_outcome = VcacheOutcome::Hit;
-                                // Hits bump the verdict counter the original
-                                // walk would have, so the partition
-                                // `drops + accepts + default_allows ==
-                                // invocations` keeps holding.
-                                match entry.kind {
-                                    VerdictKind::Drop => self.metrics.bump(Counter::Drops),
-                                    VerdictKind::Accept => self.metrics.bump(Counter::Accepts),
-                                    VerdictKind::DefaultAllow => {
-                                        self.metrics.bump(Counter::DefaultAllows)
-                                    }
-                                }
-                                let decision = entry.decision.clone();
+                                // A cached deny replays its DROP record so
+                                // cached denials stay in the audit stream.
                                 if let Some(log) = &entry.log {
                                     let mut log = log.clone();
                                     log.ts = pkt.env_ref().now();
-                                    self.logs.push(log);
+                                    scratch.push(log);
                                 }
-                                self.metrics.observe_eval(t0);
-                                let verdict = match entry.kind {
-                                    VerdictKind::Drop => EventVerdict::Deny,
-                                    VerdictKind::Accept => EventVerdict::Allow,
-                                    VerdictKind::DefaultAllow => EventVerdict::DefaultAllow,
-                                };
-                                let rk = if event_id != 0 {
-                                    decision
-                                        .dropped_by
-                                        .as_ref()
-                                        .map(|(c, i)| events::rule_key(c, *i))
-                                        .unwrap_or(0)
-                                } else {
-                                    0
-                                };
-                                self.emit_decision_event(
-                                    gate,
-                                    shard,
-                                    event_id,
-                                    ev_t0,
-                                    &mut pkt,
-                                    op,
-                                    &decision,
-                                    verdict,
-                                    vc_outcome,
-                                    ThrottleOutcome::None,
-                                    0,
-                                    rk,
-                                );
-                                return decision;
+                                hit = Some((entry.decision.clone(), entry.kind));
+                            } else {
+                                cache_ctx = Some((vc, key));
                             }
-                            cache_ctx = Some((vc, key));
                         }
                         // A key field *failed* to fetch: the outcome is not
                         // attributable to key context — bypass the cache.
@@ -840,35 +783,43 @@ impl ProcessFirewall {
             throttle: ThrottleOutcome::None,
             fired_rule: 0,
         };
-        let run = inv.run(&mut pkt, op);
-        let degraded = inv.degraded;
-        let cache_blocked = inv.cache_blocked;
-        let hops = inv.hops;
-        let throttle = inv.throttle;
-        let fired_rule = inv.fired_rule;
+        let (mut decision, kind) = match hit {
+            Some(replay) => replay,
+            None => match inv.run(&mut pkt, op) {
+                Some(d) if d.verdict == Verdict::Deny => (d, VerdictKind::Drop),
+                Some(d) => (d, VerdictKind::Accept),
+                None => (
+                    EvalDecision::allow(snap.generation()),
+                    VerdictKind::DefaultAllow,
+                ),
+            },
+        };
+        // Everything below is shared by cache hits and walks, so a hit
+        // bumps the verdict counter the original walk did and the
+        // partition `drops + accepts + default_allows == invocations`
+        // keeps holding.
+        let Invocation {
+            logs: scratch,
+            degraded,
+            cache_blocked,
+            hops,
+            throttle,
+            fired_rule,
+            ..
+        } = inv;
         // One shared add per invocation: `hops` counts exactly the
         // rules the walk visited, early exits included.
         if hops != 0 {
             self.metrics.add(Counter::RulesEvaluated, u64::from(hops));
         }
-        let (mut decision, kind) = match run {
-            Some(d) => {
-                let kind = match d.verdict {
-                    Verdict::Deny => VerdictKind::Drop,
-                    Verdict::Allow => VerdictKind::Accept,
-                };
-                (d, kind)
-            }
-            None => {
-                self.metrics.bump(Counter::DefaultAllows);
-                (
-                    EvalDecision::allow(snap.generation()),
-                    VerdictKind::DefaultAllow,
-                )
-            }
-        };
-        decision.adv_generation = adv_gen;
         decision.degraded |= degraded;
+        decision.adv_generation = adv_gen;
+        let (counter, verdict) = match kind {
+            VerdictKind::Drop => (Counter::Drops, EventVerdict::Deny),
+            VerdictKind::Accept => (Counter::Accepts, EventVerdict::Allow),
+            VerdictKind::DefaultAllow => (Counter::DefaultAllows, EventVerdict::DefaultAllow),
+        };
+        self.metrics.bump(counter);
         if decision.degraded {
             match decision.verdict {
                 Verdict::Deny => self.metrics.bump(Counter::DegradedDrops),
@@ -891,8 +842,7 @@ impl ProcessFirewall {
                 vc_outcome = VcacheOutcome::Miss;
                 // A cacheable deny emitted exactly one log record (the
                 // DROP line: LOG targets block caching, CTXFAIL implies
-                // degraded); store it for replay so cached denials stay
-                // in the audit stream.
+                // degraded); store it for replay.
                 let log = match kind {
                     VerdictKind::Drop => scratch.first().cloned(),
                     _ => None,
@@ -909,11 +859,6 @@ impl ProcessFirewall {
         }
         self.logs.append(scratch);
         self.metrics.observe_eval(t0);
-        let verdict = match kind {
-            VerdictKind::Drop => EventVerdict::Deny,
-            VerdictKind::Accept => EventVerdict::Allow,
-            VerdictKind::DefaultAllow => EventVerdict::DefaultAllow,
-        };
         let rk = if event_id != 0 {
             decision
                 .dropped_by
@@ -1033,36 +978,6 @@ struct Invocation<'a> {
     fired_rule: u64,
 }
 
-/// Merges two ascending index slices into one ascending sequence — the
-/// two-way merge that restores install order when the input chain's
-/// generic and entrypoint-bound partitions are walked together.
-struct MergeIndices<'s> {
-    a: &'s [usize],
-    b: &'s [usize],
-}
-
-impl<'s> MergeIndices<'s> {
-    fn new(a: &'s [usize], b: &'s [usize]) -> Self {
-        MergeIndices { a, b }
-    }
-}
-
-impl Iterator for MergeIndices<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        let from_a = match (self.a.first(), self.b.first()) {
-            (Some(&x), Some(&y)) => x <= y,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let source = if from_a { &mut self.a } else { &mut self.b };
-        let (&head, rest) = source.split_first()?;
-        *source = rest;
-        Some(head)
-    }
-}
-
 /// The tri-state outcome of matching one rule against a packet.
 enum RuleEval {
     /// Every selector matched; run the target.
@@ -1104,121 +1019,94 @@ impl<'a> Invocation<'a> {
         } else {
             ChainName::Input
         };
-        if start == ChainName::Input && self.config.compiled_dispatch && !snap.is_empty() {
-            self.run_input_dispatch(pkt, op)
-        } else if self.config.entrypoint_chains && start == ChainName::Input {
-            self.run_input_eptspc(pkt, op)
+        let rulesetc = self.config.compiled_dispatch && !snap.is_empty();
+        if start == ChainName::Input && (rulesetc || self.config.entrypoint_chains) {
+            self.run_input_indexed(pkt, op, rulesetc)
         } else {
             self.run_chain(&start, pkt, op, 0)
         }
     }
 
-    /// RULESETC: walk the input chain through the compiled dispatch
-    /// tables. Only the buckets whose indexed selectors could accept
-    /// this invocation are consulted, merged back into install order
-    /// (see `compile.rs` for the soundness argument). Fetch failures
-    /// never consult the index: a failed entrypoint unwind degrades to
-    /// the full-chain walk exactly like EPTSPC, and a failed object
-    /// fetch falls back one rung to the EPTSPC merged walk — in both
-    /// cases every indexed rule's `--ctx-missing` policy gets its say.
-    fn run_input_dispatch(
+    /// EPTSPC and RULESETC: walk the input chain through one of its
+    /// compiled indexes (see `compile.rs`) — the (op, label, entrypoint)
+    /// view for RULESETC, the entrypoint-only view for EPTSPC. Each
+    /// dimension the view indexes is resolved *before* traversal:
+    /// interleaved ACCEPT/RETURN/LOG/STATE rules make relative order
+    /// verdict-relevant, so the applicable buckets must be known up
+    /// front to merge them back into install order. Unindexed
+    /// dimensions skip the fetch, and its failure modes, entirely.
+    ///
+    /// Fetch failures never narrow the walk: a failed entrypoint unwind
+    /// walks the whole chain, and a failed object fetch walks the
+    /// entrypoint-only view. Either way every indexed rule's
+    /// `--ctx-missing` policy gets its say.
+    fn run_input_indexed(
         &mut self,
         pkt: &mut Packet<'_>,
         op: LsmOperation,
+        rulesetc: bool,
     ) -> Option<EvalDecision> {
         let snap = self.snap;
         let input = snap.chain(&ChainName::Input);
-        let dispatch = snap.input_dispatch();
-        // Each constrained dimension is resolved *before* traversal
-        // (same reasoning as EPTSPC: interleaved ACCEPT/RETURN/LOG/
-        // STATE rules make relative order verdict-relevant, so the
-        // applicable buckets must be known up front to merge them).
-        // Unconstrained dimensions skip the fetch — and its failure
-        // modes — entirely.
-        let ept = if dispatch.has_ept_buckets() {
+        let mut view = if rulesetc {
+            snap.input_dispatch()
+        } else {
+            snap.input_by_entrypoint()
+        };
+        let ept = if view.has_ept_buckets() {
             match pkt.entrypoint_value(self.metrics) {
                 Fetched::Value(ept) => Some(ept),
-                // Benign absence: only entrypoint-wildcard buckets apply.
+                // Benign absence (e.g. a sanitized malformed stack,
+                // Section 4.4): only entrypoint-wildcard rules apply.
                 Fetched::Missing => None,
+                // Degraded path: without a trusted entrypoint no bucket
+                // can be excluded, so walk the *whole* input chain in
+                // install order — exactly the FULL traversal.
                 Fetched::Failed(_) => {
-                    // Degraded path, identical to EPTSPC's: without a
-                    // trusted entrypoint no bucket can be excluded.
                     self.degraded = true;
-                    self.metrics.bump(Counter::RulesetcFallback);
+                    if rulesetc {
+                        self.metrics.bump(Counter::RulesetcFallback);
+                    }
                     return self.run_seq(&ChainName::Input, input, 0..input.len(), pkt, op, 0);
                 }
             }
         } else {
             None
         };
-        let label = if dispatch.has_label_buckets() {
+        let mut label = None;
+        let mut served = Counter::RulesetcDispatch;
+        if view.has_label_buckets() {
             match pkt.object_sid_value(self.metrics) {
-                Fetched::Value(sid) => Some(sid),
+                Fetched::Value(sid) => label = Some(sid),
                 // No object, no label: only label-wildcard buckets
                 // apply (a positive `-d` set cannot match, exactly the
                 // selector's own Missing → NoMatch semantics).
-                Fetched::Missing => None,
+                Fetched::Missing => {}
+                // The label cannot narrow the walk, but the entrypoint
+                // still can. Not `degraded` by itself — the rules that
+                // need the label arbitrate through `--ctx-missing`.
                 Fetched::Failed(_) => {
-                    // The object fetch failed: label buckets cannot be
-                    // consulted, but the entrypoint partition still
-                    // can (the unwind is memoized above, so the EPTSPC
-                    // walk re-reads the same value). Not `degraded` by
-                    // itself — the rules that actually need the label
-                    // will arbitrate through `--ctx-missing` as usual.
-                    self.metrics.bump(Counter::RulesetcFallback);
-                    return self.run_input_eptspc(pkt, op);
+                    served = Counter::RulesetcFallback;
+                    view = snap.input_by_entrypoint();
                 }
             }
-        } else {
-            None
-        };
-        self.metrics.bump(Counter::RulesetcDispatch);
-        let mut slices: [&[usize]; 8] = [&[]; 8];
-        let n = dispatch.select(op, label, ept, &mut slices);
-        let merged = MergeDispatch::new(&slices[..n]);
+        }
+        if rulesetc {
+            self.metrics.bump(served);
+        }
+        let merged = view.select(op, label, ept);
         self.run_seq(&ChainName::Input, input, merged, pkt, op, 0)
     }
 
-    /// EPTSPC: walk the input chain as a two-way merge of the generic
-    /// partition and the caller's entrypoint-bound partition.
-    fn run_input_eptspc(&mut self, pkt: &mut Packet<'_>, op: LsmOperation) -> Option<EvalDecision> {
-        let snap = self.snap;
-        let input = snap.chain(&ChainName::Input);
-        if snap.entrypoint_chain_count() == 0 {
-            // No entrypoint-bound rules: the generic indices are the
-            // whole chain, and no unwind is needed to walk it.
-            let generic = snap.input_generic().iter().copied();
-            return self.run_seq(&ChainName::Input, input, generic, pkt, op, 0);
-        }
-        // Bound chains exist, so which rules apply depends on the
-        // caller's entrypoint — resolve it *before* traversal so the
-        // generic and bound partitions can be merged back into
-        // install order. Interleaved ACCEPT/RETURN/LOG/STATE rules
-        // make relative order verdict-relevant, so a generic-first
-        // walk would diverge from FULL.
-        match pkt.entrypoint_value(self.metrics) {
-            Fetched::Value(ept) => {
-                let bound = snap.input_for_entrypoint(ept).unwrap_or(&[]);
-                let merged = MergeIndices::new(snap.input_generic(), bound);
-                self.run_seq(&ChainName::Input, input, merged, pkt, op, 0)
-            }
-            // Benign absence (e.g. a sanitized malformed stack,
-            // Section 4.4): no entrypoint chain applies — only the
-            // generic rules can match.
-            Fetched::Missing => {
-                let generic = snap.input_generic().iter().copied();
-                self.run_seq(&ChainName::Input, input, generic, pkt, op, 0)
-            }
-            // Degraded path: without a trusted entrypoint the
-            // partition cannot be consulted, so walk the *whole*
-            // input chain in install order — exactly the FULL
-            // traversal — and let each rule's `--ctx-missing`
-            // policy decide.
-            Fetched::Failed(_) => {
-                self.degraded = true;
-                self.run_seq(&ChainName::Input, input, 0..input.len(), pkt, op, 0)
-            }
-        }
+    /// A deny attributed to rule `index` of `chain`.
+    fn deny(&self, chain: &ChainName, index: usize, degraded: bool) -> Option<EvalDecision> {
+        Some(EvalDecision {
+            verdict: Verdict::Deny,
+            dropped_by: Some((chain.name(), index)),
+            generation: self.snap.generation(),
+            degraded,
+            adv_generation: 0,
+        })
     }
 
     fn run_chain(
@@ -1295,15 +1183,8 @@ impl<'a> Invocation<'a> {
                     // Fail closed: a selector's context fetch failed and
                     // the governing policy is `drop`. The deny is
                     // attributed to this rule and flagged degraded.
-                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, "CTXFAIL", "DENY");
-                    return Some(EvalDecision {
-                        verdict: Verdict::Deny,
-                        dropped_by: Some((chain.name(), index)),
-                        generation: self.snap.generation(),
-                        degraded: true,
-                        adv_generation: 0,
-                    });
+                    return self.deny(chain, index, true);
                 }
                 RuleEval::Match => {}
             }
@@ -1315,18 +1196,10 @@ impl<'a> Invocation<'a> {
             }
             match &rule.target {
                 Target::Drop => {
-                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, "DROP", "DENY");
-                    return Some(EvalDecision {
-                        verdict: Verdict::Deny,
-                        dropped_by: Some((chain.name(), index)),
-                        generation: self.snap.generation(),
-                        degraded: self.degraded,
-                        adv_generation: 0,
-                    });
+                    return self.deny(chain, index, self.degraded);
                 }
                 Target::Accept => {
-                    self.metrics.bump(Counter::Accepts);
                     if self.event_id != 0 {
                         // `as_str` avoids the `name()` allocation; only
                         // sampled invocations pay even the hash.
@@ -1406,15 +1279,8 @@ impl<'a> Invocation<'a> {
                 // not turn a rate limit into an unconditional allow.
                 return match self.on_ctx_failure(rule, chain) {
                     CtxPolicy::Drop => {
-                        self.metrics.bump(Counter::Drops);
                         self.emit_log(pkt, op, "CTXFAIL", "DENY");
-                        Some(EvalDecision {
-                            verdict: Verdict::Deny,
-                            dropped_by: Some((chain.name(), index)),
-                            generation: self.snap.generation(),
-                            degraded: true,
-                            adv_generation: 0,
-                        })
+                        self.deny(chain, index, true)
                     }
                     // Explicit opt-out (`--ctx-missing skip`): the rule
                     // stands aside, but never silently — the decision
@@ -1479,15 +1345,8 @@ impl<'a> Invocation<'a> {
         };
         match exceed {
             ExceedPolicy::Drop => {
-                self.metrics.bump(Counter::Drops);
                 self.emit_log(pkt, op, tag, "DENY");
-                Some(EvalDecision {
-                    verdict: Verdict::Deny,
-                    dropped_by: Some((chain.name(), index)),
-                    generation: self.snap.generation(),
-                    degraded: self.degraded,
-                    adv_generation: 0,
-                })
+                self.deny(chain, index, self.degraded)
             }
             ExceedPolicy::Log => {
                 self.emit_log(pkt, op, tag, "ALLOW");

@@ -343,7 +343,7 @@ pub struct DecisionEvent {
     /// Control-plane payload: total rules after a commit.
     pub aux2: u64,
     /// Control-plane payload: nanoseconds the snapshot compile took
-    /// (EPTSPC partition + RULESETC dispatch + cacheability analysis)
+    /// (op columns, dispatch indexes, cacheability analysis)
     /// inside the commit; 0 when the edit touched no rules.
     pub aux3: u64,
 }

@@ -37,9 +37,10 @@
 //! * [`vcache`] is the per-task verdict cache behind VCACHE: whole
 //!   traversal outcomes memoized by key context, guarded by the static
 //!   cacheability analysis in [`chain`]/[`rule`];
-//! * [`compile`] is the RULESETC dispatch compiler: per-(op, label,
-//!   entrypoint) bucket tables built at snapshot compile time, walked
-//!   as an order-preserving k-way merge on the verdict-cache miss path;
+//! * [`compile`] is the dispatch compiler behind EPTSPC and RULESETC:
+//!   the input chain indexed on the entrypoint (EPTSPC) or on (op,
+//!   label, entrypoint) (RULESETC) at snapshot compile time, walked as
+//!   one order-preserving k-way merge;
 //! * [`log`] is the LOG target's JSON record, consumed by `pf-rulegen`;
 //! * [`metrics`] is the observability registry: one descriptor table
 //!   per metric family (always-on counters, per-rule/per-operation/
@@ -98,7 +99,7 @@ pub mod value;
 pub mod vcache;
 
 pub use chain::{ChainName, RuleBase};
-pub use compile::{CompiledDispatch, MergeDispatch};
+pub use compile::{CompiledDispatch, Dimensions};
 pub use config::{OptLevel, PfConfig};
 pub use context::CtxField;
 pub use engine::{EvalDecision, ProcessFirewall, ThrottleOccupancy};

@@ -309,6 +309,19 @@ impl LogSink {
         }
     }
 
+    /// `[emitted, drained, dropped, len]`, read together under the ring
+    /// lock, so `emitted == drained + dropped + len` holds exactly even
+    /// while writers run.
+    pub(crate) fn accounting(&self) -> [u64; 4] {
+        let ring = self.lock();
+        [
+            self.emitted(),
+            self.drained(),
+            self.dropped(),
+            ring.len() as u64,
+        ]
+    }
+
     /// Number of buffered records.
     pub fn len(&self) -> usize {
         self.lock().len()

@@ -326,6 +326,14 @@ metric_table! {
     }
 }
 
+/// One message per violated invariant row `(rule, holds, lhs, rhs)`.
+pub(crate) fn violations<const N: usize>(rows: [(&str, bool, u64, u64); N]) -> Vec<String> {
+    rows.into_iter()
+        .filter(|&(_, holds, _, _)| !holds)
+        .map(|(rule, _, lhs, rhs)| format!("{rule} violated: {lhs} vs {rhs}"))
+        .collect()
+}
+
 /// Appends one Prometheus line per row its [`Emit`] rule shows:
 /// `name{labels} value`, or `name value` when `labels` is empty.
 pub(crate) fn prom_rows(out: &mut String, rows: &[MetricDesc], values: &[u64], labels: &str) {
@@ -744,7 +752,8 @@ impl Metrics {
         let verdicts = drops + allows;
         let vcache = self.vcache_hits() + self.vcache_misses() + self.vcache_uncacheable();
         let (dd, da) = (self.degraded_drops(), self.degraded_allows());
-        [
+        let rulesetc = self.rulesetc_dispatch() + self.rulesetc_fallback();
+        violations([
             (
                 "drops + accepts + default_allows == invocations",
                 verdicts == inv,
@@ -764,11 +773,13 @@ impl Metrics {
                 vcache,
                 inv,
             ),
-        ]
-        .into_iter()
-        .filter(|&(_, holds, _, _)| !holds)
-        .map(|(rule, _, lhs, rhs)| format!("{rule} violated: {lhs} vs {rhs}"))
-        .collect()
+            (
+                "rulesetc_dispatch + rulesetc_fallback <= invocations",
+                rulesetc <= inv,
+                rulesetc,
+                inv,
+            ),
+        ])
     }
 
     // --- per-operation splits ---

@@ -61,8 +61,8 @@ pub fn render_rules(pf: &ProcessFirewall) -> String {
         out,
         "{} rules total; {} entrypoint-specific chains; {} generic input rules",
         pf.rule_count(),
-        pf.base().entrypoint_chain_count(),
-        pf.base().input_generic().len()
+        pf.base().input_by_entrypoint().entrypoint_count(),
+        pf.base().input_by_entrypoint().generic_rule_count()
     );
     out
 }

@@ -130,8 +130,9 @@ mod tests {
         assert_eq!(k.firewall.rule_count(), FULL_RULE_COUNT);
         // Nearly all rules are entrypoint-bound, so the EPTSPC partition
         // leaves only a small generic prefix.
-        assert!(k.firewall.base().entrypoint_chain_count() > 1000);
-        assert!(k.firewall.base().input_generic().len() < 10);
+        let snap = k.firewall.base();
+        assert!(snap.input_by_entrypoint().entrypoint_count() > 1000);
+        assert!(snap.input_by_entrypoint().generic_rule_count() < 10);
     }
 
     #[test]

@@ -265,7 +265,7 @@ fn stress_with_hot_reloads(level: OptLevel) {
         m.invocations(),
         "lost counter updates under contention"
     );
-    assert_eq!(m.check(), Vec::<String>::new(), "counter invariants");
+    assert_eq!(fw.check(), Vec::<String>::new(), "accounting invariants");
 
     // At RULESETC the workers must actually have gone through the
     // compiled artifact (at minimum on every per-generation cache

@@ -92,6 +92,7 @@ fn run_trace(
         outcomes.push(ok);
     }
     let logs = k.firewall.take_logs();
+    assert_eq!(k.firewall.check(), Vec::<String>::new(), "{level:?}");
     let mut state: Vec<(u64, u64)> = k
         .task(pid)
         .unwrap()
@@ -218,6 +219,7 @@ fn run_origin_trace(
         };
         outcomes.push(ok);
     }
+    assert_eq!(k.firewall.check(), Vec::<String>::new(), "{level:?}");
     (outcomes, k.task_origin(victim).unwrap())
 }
 
@@ -293,6 +295,7 @@ fn origin_transition_invalidates_warm_verdict_cache() {
         m.origin_vcache_invalidations() > 0,
         "the widening flushed the warm cache"
     );
+    assert_eq!(k.firewall.check(), Vec::<String>::new());
 }
 
 // ---------------------------------------------------------------------
@@ -326,6 +329,7 @@ fn vcache_serves_hits_for_repeated_denials() {
     assert_eq!(m.drops(), 5, "hits still count as drops");
     // Every cached denial is still audited.
     assert_eq!(k.firewall.take_logs().len(), 5);
+    assert_eq!(k.firewall.check(), Vec::<String>::new());
 }
 
 #[test]
@@ -354,4 +358,5 @@ fn reload_invalidates_cached_verdicts_mid_task() {
     .unwrap();
     let fd = k.open(pid, "/etc/passwd", OpenFlags::rdonly()).unwrap();
     k.close(pid, fd).unwrap();
+    assert_eq!(k.firewall.check(), Vec::<String>::new());
 }

@@ -236,9 +236,11 @@ fn run_trace(level: OptLevel, seed: u64, stateful: bool, faults: Option<FaultCon
     let state_parent = collect(&k, pid);
     let state_child = collect(&k, child);
     let m = k.firewall.metrics();
+    let logs = k.firewall.take_logs();
+    assert_eq!(k.firewall.check(), Vec::<String>::new(), "{level:?}");
     Observed {
         outcomes,
-        logs: k.firewall.take_logs(),
+        logs,
         state_parent,
         state_child,
         invocations: m.invocations(),
@@ -441,6 +443,7 @@ fn run_origin_trace(level: OptLevel, seed: u64) -> (Vec<bool>, u64, u64, u64) {
         };
         outcomes.push(ok);
     }
+    assert_eq!(k.firewall.check(), Vec::<String>::new(), "{level:?}");
     let m = k.firewall.metrics();
     let (dispatch, fallback) = (m.rulesetc_dispatch(), m.rulesetc_fallback());
     (outcomes, k.task_origin(victim).unwrap(), dispatch, fallback)

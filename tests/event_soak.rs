@@ -313,11 +313,7 @@ fn event_plane_exact_accounting_under_8_thread_soak() {
             last = generation;
         }
     }
-    assert_eq!(
-        fw.metrics().check(),
-        Vec::<String>::new(),
-        "counter invariants"
-    );
+    assert_eq!(fw.check(), Vec::<String>::new(), "accounting invariants");
 }
 
 /// Single-threaded control-event semantics: a successful batch emits

@@ -327,11 +327,17 @@ fn single_field_configs() -> [(&'static str, FaultConfig); 5] {
     ]
 }
 
+/// Every rung of the ladder the hook actually runs at (all but
+/// DISABLED), VCACHE and RULESETC included.
+fn enabled_levels() -> impl Iterator<Item = OptLevel> {
+    OptLevel::ALL.into_iter().filter(|l| l.config().enabled)
+}
+
 #[test]
 fn attack_envs_are_denied_fault_free() {
     // The sweep below is only meaningful if each environment actually
     // triggers its rule when nothing is injected.
-    for level in [OptLevel::Full, OptLevel::EptSpc] {
+    for level in enabled_levels() {
         let (pf, programs) = table5_firewall(level);
         for attack in attacks() {
             let mut env = (attack.build)(programs.clone());
@@ -356,7 +362,7 @@ fn no_exploit_rule_silently_allows_under_any_single_field_fault() {
     // Satellite: exploit rule × individually-failed context field. The
     // access is either still blocked, or the decision says `degraded` —
     // an Allow that looks ordinary never happens.
-    for level in [OptLevel::Full, OptLevel::EptSpc] {
+    for level in enabled_levels() {
         for (field, cfg) in single_field_configs() {
             let (pf, programs) = table5_firewall(level);
             let injector = FaultInjector::new(cfg);
@@ -381,7 +387,7 @@ fn unwind_faults_fail_closed_for_every_entrypoint_rule() {
     // default must deny outright when the unwinder errors. Each rule is
     // installed alone so no other Table 5 rule can shadow the verdict.
     let entrypoint_rules = ["R1", "R2", "R3", "R4", "R7", "R8"];
-    for level in [OptLevel::Full, OptLevel::EptSpc] {
+    for level in enabled_levels() {
         for attack in attacks()
             .into_iter()
             .filter(|a| entrypoint_rules.contains(&a.rule))
@@ -416,7 +422,7 @@ fn origin_faults_fail_closed_for_origin_rules() {
     // rule must fail closed — a blinded taint check never turns into a
     // silent allow for a subject that *is* tainted.
     const RULE: &str = "pftables -s httpd_t --origin tainted -o FILE_WRITE -j DROP";
-    for level in [OptLevel::Full, OptLevel::EptSpc] {
+    for level in enabled_levels() {
         let mut mac = ubuntu_mini();
         let mut programs = Interner::new();
         let pf = ProcessFirewall::new(level);
@@ -508,7 +514,7 @@ fn soak_ten_percent_unwind_faults_never_let_an_exploit_through() {
         m.invocations(),
         "counter conservation broke under faults"
     );
-    assert_eq!(m.check(), Vec::<String>::new(), "counter invariants");
+    assert_eq!(pf.check(), Vec::<String>::new(), "accounting invariants");
 }
 
 #[test]
@@ -571,7 +577,7 @@ fn eight_thread_soak_over_full_ruleset_under_faults() {
         m.invocations(),
         "counter conservation broke under concurrent faults"
     );
-    assert_eq!(m.check(), Vec::<String>::new(), "counter invariants");
+    assert_eq!(pf.check(), Vec::<String>::new(), "accounting invariants");
     assert!(injector.stats().total() > 0);
 }
 

@@ -356,9 +356,9 @@ fn fleet_soak_exact_accounting_under_racing_reloads() {
         "each reload publishes exactly one generation"
     );
     assert_eq!(
-        shared.metrics().check(),
+        shared.check(),
         Vec::<String>::new(),
-        "counter invariants"
+        "accounting invariants"
     );
 }
 

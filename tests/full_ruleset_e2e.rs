@@ -84,9 +84,15 @@ fn whole_table5_base_coexists_without_interference() {
     assert!(k.write(user, w, b"hello").is_ok());
 }
 
+/// Every rung of the ladder the hook actually runs at (all but
+/// DISABLED), VCACHE and RULESETC included.
+fn enabled_levels() -> impl Iterator<Item = OptLevel> {
+    OptLevel::ALL.into_iter().filter(|l| l.config().enabled)
+}
+
 #[test]
 fn macro_workloads_survive_the_full_1218_rule_base() {
-    for level in [OptLevel::Full, OptLevel::EptSpc] {
+    for level in enabled_levels() {
         let mut k = fully_armed_world(level);
         setup_build_tree(&mut k);
         apache_build(&mut k).unwrap();
@@ -101,12 +107,7 @@ fn optimization_levels_agree_on_the_webserver() {
     // kernel (not just the engine mock): the same request mix must
     // produce byte-identical outcomes at every level.
     let mut outcomes: Vec<Vec<bool>> = Vec::new();
-    for level in [
-        OptLevel::Full,
-        OptLevel::ConCache,
-        OptLevel::LazyCon,
-        OptLevel::EptSpc,
-    ] {
+    for level in enabled_levels() {
         let mut k = fully_armed_world(level);
         k.install_rules([process_firewall::attacks::webserver::APACHE_DOCROOT_RULE])
             .unwrap();

@@ -263,5 +263,5 @@ fn eight_thread_origin_churn_with_racing_reloads() {
         m.invocations(),
         "counter conservation broke under origin churn"
     );
-    assert_eq!(m.check(), Vec::<String>::new(), "counter invariants");
+    assert_eq!(pf.check(), Vec::<String>::new(), "accounting invariants");
 }
