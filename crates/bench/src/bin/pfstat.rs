@@ -224,17 +224,17 @@ fn report(k: &pf_os::Kernel, workload: &str) {
     }
     println!();
 
-    // The bounded log sink: drop accounting is always-on, so a fleet
-    // that outruns its collector shows up here as `overwritten`, never
-    // as unbounded memory.
+    // The LOG ring: drop accounting is always-on, so a fleet that
+    // outruns its collector shows up here as `overwritten`, never as
+    // unbounded memory.
     let sink = k.firewall.log_sink();
-    println!("== log sink (capacity {}) ==", sink.capacity());
+    println!("== LOG ring (capacity {}) ==", sink.capacity());
     println!(
         "emitted {} / drained {} / overwritten {} / buffered {}",
         sink.emitted(),
         sink.drained(),
         sink.dropped(),
-        sink.len()
+        k.firewall.log_count()
     );
     println!();
 

@@ -12,12 +12,11 @@
 //! its oldest slot and the reader accounts the loss), and at quiescence
 //! the books balance exactly: `emitted == drained + dropped`.
 //!
-//! The same drain loop also consumes the bounded **log sink** (a LOG
-//! rule fires on every fourth invocation, and the sink runs at a small
-//! capacity so writers lap the consumer): a saturated fleet can only
-//! cost the collector *records* — counted in `logs_dropped` and marked
-//! with a gap on the next drain, the TRACE discipline — never memory or
-//! writer progress. Log accounting must balance at quiescence exactly
+//! The same drain loop also consumes the **LOG ring** (a LOG rule fires
+//! on every fourth invocation, enough for writers to lap the consumer):
+//! a saturated fleet can only cost the collector *records* — counted in
+//! `logs_dropped` and marked with a gap on the next drain — never memory
+//! or writer progress. Log accounting must balance at quiescence exactly
 //! like the event plane's.
 //!
 //! ```text
@@ -33,7 +32,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use pf_core::events::{self, DecisionEvent, EventKind};
+use pf_core::events::{self, DecisionEvent, EventKind, LOG_RING_CAP};
 use pf_core::{
     EvalEnv, Histogram, ObjectInfo, OptLevel, ProcessFirewall, SamplingMode, SignalInfo,
     TaskSession,
@@ -60,10 +59,6 @@ const RULES: [&str; 4] = [
     "pftables -o FILE_WRITE -j RATELIMIT --rate 1 --burst 4096 --per subject --exceed drop",
     "pftables -o FILE_GETATTR -j LOG --tag pftop",
 ];
-/// Deliberately small log-sink capacity: one writer iteration in four
-/// emits a record, so the sink laps between drains and the gap-marking
-/// path is exercised, not just the happy path.
-const LOG_RING_CAP: usize = 8_192;
 /// Cap on the `--jsonl` export so a 1M-event run does not write a
 /// multi-hundred-megabyte file; the cap is reported, never silent.
 const JSONL_CAP: usize = 50_000;
@@ -243,7 +238,6 @@ fn main() {
             .unwrap();
     }
     fw.set_sampling(SamplingMode::Always);
-    fw.set_log_capacity(LOG_RING_CAP);
     let rules_by_key = rule_table(&fw);
     let label_of: HashMap<u32, String> = {
         let mac = ubuntu_mini();
@@ -283,7 +277,7 @@ fn main() {
         start.wait();
         // The live consumer: drain, fold, repeat. Writers never wait on
         // this loop — a slow consumer only shows up as `dropped` (and,
-        // for the log sink, as a gap marker on the next drain).
+        // for the LOG ring, as a gap marker on the next drain).
         while fw.events().drained() < target {
             let logs = fw.drain_logs();
             agg.log_records += logs.entries.len() as u64;
@@ -376,7 +370,7 @@ fn main() {
         fw.log_sink().dropped(),
     );
     println!(
-        "log sink (cap {LOG_RING_CAP}): {logs_emitted} emitted, {logs_drained} drained, \
+        "LOG ring (cap {LOG_RING_CAP}): {logs_emitted} emitted, {logs_drained} drained, \
          {logs_dropped} overwritten, {} gap-marked drains",
         agg.log_gaps
     );

@@ -8,8 +8,10 @@
 //!
 //! 1. **pre-fix emulation** at full worker count: chain-detail
 //!    recorders pinned to one shard (the old single `Mutex<BTreeMap>`
-//!    convoy) and an effectively unbounded, never-drained log sink
-//!    (the old `Mutex<Vec<LogEntry>>` leak);
+//!    convoy), with the LOG ring never drained. The old unbounded
+//!    `Mutex<Vec<LogEntry>>` sink is not emulated: the LOG ring's
+//!    capacity is a constant, so an undrained run retains at most
+//!    `LOG_RING_CAP` records;
 //! 2. **post-fix** at 1 worker (the scaling baseline);
 //! 3. **post-fix** at full worker count.
 //!
@@ -30,6 +32,7 @@
 //! appended to `BENCH_table7.json`.
 
 use pf_bench::fleet::{run_fleet, FleetConfig, FleetResult};
+use pf_core::LOG_RING_CAP;
 
 struct Args {
     shards: usize,
@@ -109,7 +112,7 @@ fn print_row(label: &str, r: &FleetResult, paired_rate: Option<f64>) {
 
 /// Invariants every post-fix run must uphold; panics on violation so
 /// the CI lane fails loudly.
-fn check_fixed(r: &FleetResult, cap: usize) {
+fn check_fixed(r: &FleetResult) {
     assert_eq!(
         r.logs_emitted,
         r.logs_drained + r.logs_dropped,
@@ -117,10 +120,10 @@ fn check_fixed(r: &FleetResult, cap: usize) {
     );
     assert_eq!(r.logs_buffered_final, 0, "final drain empties the sink");
     assert!(
-        r.logs_buffered_max <= cap,
+        r.logs_buffered_max <= LOG_RING_CAP,
         "log memory bounded: {} buffered > capacity {}",
         r.logs_buffered_max,
-        cap
+        LOG_RING_CAP
     );
     assert_eq!(
         r.events_emitted,
@@ -159,10 +162,9 @@ fn main() {
     );
     println!("{:-<110}", "");
 
-    // CPU-time readings are tick-granular (10 ms); a single short run
-    // quantizes badly. Run each configuration twice and rate it on the
-    // *summed* hooks and CPU seconds, which averages the quantization
-    // out; the second (warmed) run supplies the detail fields.
+    // Run each configuration twice and rate it on the *summed* hooks
+    // and CPU seconds (Σhooks / Σcpu); the second (warmed) run supplies
+    // the detail fields.
     let paired = |cfg: &FleetConfig| -> (FleetResult, Option<f64>) {
         let first = run_fleet(cfg);
         let second = run_fleet(cfg);
@@ -175,15 +177,16 @@ fn main() {
         (second, rate)
     };
 
-    // 1. The bugs, reproduced: pinned chain-detail lock + unbounded
-    //    undrained log sink at full worker count.
+    // 1. The chain-detail bug, reproduced: pinned chain-detail lock at
+    //    full worker count, LOG ring undrained.
     let (pre, pre_rate) = paired(&FleetConfig::pre_fix(
         a.shards, a.tasks, a.workers, a.rounds,
     ));
     print_row("pre-fix(emulated)", &pre, pre_rate);
     assert!(
-        pre.logs_buffered_final as u64 == pre.logs_emitted && pre.logs_emitted > 0,
-        "pre-fix sink retains every record (the leak): {} of {}",
+        pre.logs_buffered_final as u64 == pre.logs_emitted.min(LOG_RING_CAP as u64)
+            && pre.logs_emitted > 0,
+        "an undrained ring retains the newest records up to its capacity: {} of {}",
         pre.logs_buffered_final,
         pre.logs_emitted
     );
@@ -192,13 +195,13 @@ fn main() {
     let base_cfg = FleetConfig::fixed(a.shards, a.tasks, 1, a.rounds);
     let (base, base_rate) = paired(&base_cfg);
     print_row("fixed", &base, base_rate);
-    check_fixed(&base, base_cfg.log_capacity);
+    check_fixed(&base);
 
     // 3. Post-fix at full worker count.
     let full_cfg = FleetConfig::fixed(a.shards, a.tasks, a.workers, a.rounds);
     let (full, full_rate) = paired(&full_cfg);
     print_row("fixed", &full, full_rate);
-    check_fixed(&full, full_cfg.log_capacity);
+    check_fixed(&full);
     println!("{:-<110}", "");
 
     let improvement = match (full_rate, pre_rate) {
@@ -211,15 +214,15 @@ fn main() {
     };
     match improvement {
         Some(x) => println!(
-            "hooks/CPU-second at {} workers: fixed = {:.2}x the pre-fix sinks \
-             (sharded chain detail + bounded drained log ring)",
+            "hooks/CPU-second at {} workers: fixed = {:.2}x the pre-fix emulation \
+             (sharded chain detail, drained LOG ring)",
             a.workers, x
         ),
         None => println!("pre-fix comparison: n/a (no CPU-time readings)"),
     }
     println!(
-        "pre-fix sink retained {} records / {} KiB after {:.2}s of traffic \
-         (unbounded growth); fixed sink retained {}",
+        "undrained ring retained {} records / {} KiB after {:.2}s of traffic \
+         (capped at {LOG_RING_CAP}); drained ring retained {}",
         pre.logs_buffered_final,
         pre.logs_retained_bytes / 1024,
         pre.wall_s,

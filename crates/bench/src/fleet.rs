@@ -21,21 +21,23 @@
 //! * **racing reloads** — an optional reloader thread hot-swaps the
 //!   full rule base throughout the run.
 //!
-//! A `-j LOG` rule on every `FILE_OPEN` keeps the shared log sink under
+//! A `-j LOG` rule on every `FILE_OPEN` keeps the shared LOG ring under
 //! constant fan-in pressure — which is exactly how the harness exposed
 //! the two bugs this module exists to regress:
 //!
 //! 1. the log sink used to be an **unbounded** `Mutex<Vec<LogEntry>>`,
-//!    so a fleet run leaked memory until OOM — it is now a bounded
-//!    overwrite-oldest ring with exact `emitted == drained + dropped`
-//!    accounting ([`pf_core::LogSink`]);
+//!    so a fleet run leaked memory until OOM — LOG records now go to a
+//!    fixed-capacity lock-free ring with exact `emitted == drained +
+//!    dropped` accounting (`ProcessFirewall::log_sink`);
 //! 2. the metrics detail layer funneled every worker through one
 //!    `Mutex<BTreeMap>` — it is now sharded like the latency
 //!    histograms and merged on export.
 //!
-//! [`FleetConfig::pre_fix`] reproduces the old behavior (all chain
-//! recorders pinned to one shard; an effectively unbounded, never
-//! drained sink) so the bench can quantify the fix on every run.
+//! [`FleetConfig::pre_fix`] reproduces the old chain-detail behavior
+//! (all chain recorders pinned to one shard) and never drains the LOG
+//! ring, so the bench can quantify the sharding fix on every run. The
+//! old unbounded sink has no equivalent left to emulate: the ring's
+//! capacity is a constant.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,16 +101,14 @@ pub struct FleetConfig {
     /// Job rounds: each round queues one tick per resident task plus
     /// one of each scenario job per shard.
     pub rounds: usize,
-    /// Log sink capacity for the run.
-    pub log_capacity: usize,
     /// Run a reloader thread hot-swapping the rule base throughout.
     pub reload: bool,
-    /// Drain the log sink from the background drainer thread.
+    /// Drain the LOG ring from the background drainer thread.
     pub drain_logs: bool,
     /// Drain the decision-event plane from the drainer thread.
     pub drain_events: bool,
-    /// Emulate the pre-fix sinks: chain-detail recorders pinned to one
-    /// shard and a huge, never-drained log sink.
+    /// Emulate the pre-fix chain-detail lock: every recorder pinned to
+    /// one shard (run with the LOG ring undrained).
     pub pre_fix: bool,
 }
 
@@ -120,7 +120,6 @@ impl FleetConfig {
             tasks,
             workers,
             rounds,
-            log_capacity: pf_core::DEFAULT_LOG_CAPACITY,
             reload: true,
             drain_logs: true,
             drain_events: true,
@@ -129,13 +128,10 @@ impl FleetConfig {
     }
 
     /// The pre-fix emulation at the same scale: one chain-detail lock
-    /// and an effectively unbounded, never-drained log sink. The event
-    /// plane predates the fix and is drained either way, so both
-    /// configurations pay the same drainer-thread cost except for the
-    /// log path under comparison.
+    /// and a never-drained LOG ring. The event plane predates the fix
+    /// and is drained either way.
     pub fn pre_fix(shards: usize, tasks: usize, workers: usize, rounds: usize) -> Self {
         FleetConfig {
-            log_capacity: usize::MAX / 2,
             drain_logs: false,
             pre_fix: true,
             ..FleetConfig::fixed(shards, tasks, workers, rounds)
@@ -186,7 +182,7 @@ pub struct FleetResult {
     pub workers: usize,
     /// Echo of the configuration.
     pub rounds: usize,
-    /// Whether this run emulated the pre-fix sinks.
+    /// Whether this run emulated the pre-fix chain-detail lock.
     pub pre_fix: bool,
     /// Resident tasks actually spawned (≥ `tasks`).
     pub resident_tasks: usize,
@@ -221,18 +217,18 @@ pub struct FleetResult {
     pub reloads: u64,
     /// Snapshot-generation delta (must equal `reloads`).
     pub generations_delta: u64,
-    /// Log-sink records written.
+    /// LOG records written.
     pub logs_emitted: u64,
-    /// Log-sink records handed to drains.
+    /// LOG records handed to drains.
     pub logs_drained: u64,
-    /// Log-sink records overwritten before a drain reached them.
+    /// LOG records overwritten before a drain reached them.
     pub logs_dropped: u64,
     /// Largest buffered backlog a drain observed.
     pub logs_buffered_max: usize,
-    /// Backlog left after the final drain (pre-fix: the leak).
+    /// Backlog left after the final drain (pre-fix: the undrained ring).
     pub logs_buffered_final: usize,
-    /// Approximate heap bytes retained by that backlog (pre-fix: what
-    /// the unbounded sink leaks per ~run-length of fleet traffic).
+    /// Bytes of record payload that backlog holds (at most the ring's
+    /// capacity in records).
     pub logs_retained_bytes: u64,
     /// Decision events written / drained / dropped.
     pub events_emitted: u64,
@@ -452,17 +448,16 @@ fn seed_jobs(cfg: &FleetConfig, resident_pids: &[Vec<Pid>]) -> Vec<Mutex<VecDequ
 
 /// Runs one fleet configuration end to end and reports the aggregate.
 ///
-/// Post-fix runs (`drain: true`) finish with exact log accounting:
-/// `logs_emitted == logs_drained + logs_dropped` after the final
-/// quiescent drain, with the buffered backlog bounded by
-/// `log_capacity` throughout. Pre-fix runs leave the backlog in
-/// `logs_buffered_final` — the leak the fix removes.
+/// Post-fix runs (`drain_logs: true`) finish with exact log
+/// accounting: `logs_emitted == logs_drained + logs_dropped` after the
+/// final quiescent drain, with the buffered backlog bounded by the LOG
+/// ring's capacity throughout. Pre-fix runs leave the backlog in
+/// `logs_buffered_final`.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     let (shards, shared, resident_pids) = build_shards(cfg);
     let residents: usize = resident_pids.iter().map(Vec::len).sum();
     shared.metrics().set_detailed(true);
     shared.metrics().set_chain_shards_pinned(cfg.pre_fix);
-    shared.set_log_capacity(cfg.log_capacity);
     shared.events().set_sampling(SamplingMode::OneIn(8));
 
     let queues = seed_jobs(cfg, &resident_pids);
@@ -564,29 +559,16 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     }
     let merge_ns = m0.elapsed().as_nanos() as u64;
 
-    // Snapshot the sink counters before the byte-measurement take
+    // Snapshot the ring counters before the byte-measurement drain
     // below disturbs them.
     let logs_emitted = shared.log_sink().emitted();
     let logs_drained = shared.log_sink().drained();
     let logs_dropped = shared.log_sink().dropped();
     let logs_buffered_final = shared.log_count();
-    // Measure what the backlog is holding onto before tearing down
-    // (records the pre-fix leak in bytes; a drained sink retains 0).
-    let logs_retained_bytes: u64 = shared
-        .log_sink()
-        .take()
-        .iter()
-        .map(|e| {
-            (std::mem::size_of::<pf_core::LogEntry>()
-                + e.subject.len()
-                + e.program.len()
-                + e.ept_prog.len()
-                + e.object.len()
-                + e.resource.len()
-                + e.tag.len()
-                + e.verdict.len()) as u64
-        })
-        .sum();
+    // Measure what the backlog is holding onto before tearing down (a
+    // drained ring retains 0).
+    let logs_retained_bytes =
+        (shared.drain_logs().entries.len() * std::mem::size_of::<pf_core::LogRecord>()) as u64;
 
     let hooks = shared.metrics().invocations() - hooks0;
     let syscalls: u64 = worker_stats.iter().map(|w| w.syscalls).sum();
@@ -598,9 +580,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         .iter()
         .map(|w| w.cpu_ns)
         .try_fold(0u64, |acc, c| c.map(|v| acc + v));
-    // Tick-granular readings can legitimately be zero on very short
-    // runs; clamp to one tick so the ratio stays conservative.
-    let cpu_s = cpu_ns.map(|ns| ns.max(10_000_000) as f64 / 1e9);
+    let cpu_s = cpu_ns.map(|ns| ns as f64 / 1e9);
     let eval = shared.metrics().eval_latency();
 
     FleetResult {
@@ -619,7 +599,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         wall_s,
         cpu_s,
         hooks_per_wall_s: hooks as f64 / wall_s.max(1e-9),
-        hooks_per_cpu_s: cpu_s.map(|c| hooks as f64 / c),
+        hooks_per_cpu_s: cpu_s.filter(|&c| c > 0.0).map(|c| hooks as f64 / c),
         eval_p50_ns: eval.p50(),
         eval_p999_ns: eval.percentile(0.999),
         event_p999_ns: event_hist.percentile(0.999),
@@ -721,7 +701,7 @@ mod tests {
         assert!(r.pre_fix);
         assert!(
             r.logs_buffered_final as u64 == r.logs_emitted && r.logs_emitted > 0,
-            "undrained unbounded sink retains every record: {} buffered of {} emitted",
+            "an undrained ring below capacity retains every record: {} buffered of {} emitted",
             r.logs_buffered_final,
             r.logs_emitted
         );

@@ -124,19 +124,34 @@ pub fn append_trajectory(path: &str, schema: &str, run: &str) {
     }
 }
 
-/// This thread's CPU time (user + system) in nanoseconds, from
-/// `/proc/thread-self/stat`. Returns `None` off Linux or on parse
-/// failure; callers fall back to wall-clock.
+/// This thread's CPU time in nanoseconds: the run time
+/// `/proc/thread-self/schedstat` reports at nanosecond resolution, or,
+/// where that file is missing, user + system time from
+/// `/proc/thread-self/stat` (10 ms ticks). Returns `None` off Linux or
+/// on parse failure; callers fall back to wall-clock.
 ///
 /// On a single-core container wall-clock scaling curves are
 /// necessarily flat (the threads timeshare one CPU); normalizing by
 /// per-thread CPU time instead exposes whether per-hook *CPU cost*
 /// inflates as workers are added — the lock-convoy signature.
 pub fn thread_cpu_ns() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
-    // Fields 14 (utime) and 15 (stime), 1-indexed, are clock ticks at
-    // USER_HZ (100 on Linux). The comm field may contain spaces, so
-    // split after the closing paren.
+    match std::fs::read_to_string("/proc/thread-self/schedstat") {
+        Ok(schedstat) => parse_schedstat_ns(&schedstat),
+        Err(_) => parse_stat_ns(&std::fs::read_to_string("/proc/thread-self/stat").ok()?),
+    }
+}
+
+/// The first field of a `schedstat` line: time spent on the CPU, in
+/// nanoseconds.
+fn parse_schedstat_ns(schedstat: &str) -> Option<u64> {
+    schedstat.split_whitespace().next()?.parse().ok()
+}
+
+/// utime + stime from a `stat` line, in nanoseconds. Fields 14 and 15
+/// (1-indexed) are clock ticks at USER_HZ (100 on Linux); the comm
+/// field may contain spaces, so fields are counted after its closing
+/// paren.
+fn parse_stat_ns(stat: &str) -> Option<u64> {
     let rest = stat.rsplit_once(')')?.1;
     let fields: Vec<&str> = rest.split_whitespace().collect();
     let utime: u64 = fields.get(11)?.parse().ok()?;
@@ -289,6 +304,20 @@ pub mod micro {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cpu_time_parsers_read_fixed_proc_lines() {
+        assert_eq!(
+            parse_schedstat_ns("555615012 10367366 37\n"),
+            Some(555_615_012)
+        );
+        assert_eq!(parse_schedstat_ns(""), None);
+        assert_eq!(parse_schedstat_ns("x 1 2"), None);
+        // `comm` with spaces and a paren; utime 54 and stime 1 ticks.
+        let stat = "4242 (a (b) c) R 1 4242 4242 0 -1 4194304 99 0 0 0 54 1 0 0 20 0 1 0";
+        assert_eq!(parse_stat_ns(stat), Some(550_000_000));
+        assert_eq!(parse_stat_ns("4242 (short) R 1"), None);
+    }
 
     #[test]
     fn worlds_build_at_every_level() {

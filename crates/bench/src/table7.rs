@@ -6,10 +6,11 @@
 //! under an arbitrary 100 ms floor. The rules now are:
 //!
 //! * `hooks_per_cpu_s` is computed **unconditionally** from thread CPU
-//!   time whenever `/proc` CPU accounting is readable at all, clamping
-//!   each thread's CPU time to one scheduler tick (10 ms) so a
-//!   short run yields a conservative finite number instead of `null`
-//!   (or a division blow-up);
+//!   time whenever `/proc` CPU accounting is readable at all, as total
+//!   hooks over total CPU time (Σhooks / Σcpu), so it measures per-hook
+//!   CPU cost and stays flat when threads scale perfectly — a sum of
+//!   per-thread rates would instead grow with the thread count by
+//!   construction;
 //! * only `cpu_speedup_4_vs_1` may be `null`, and only when the
 //!   4-thread configuration oversubscribes the host (fewer than 4
 //!   CPUs), where CPU-time accounting is polluted by contention and a
@@ -42,7 +43,7 @@ pub struct ConfigResult {
     pub cpu_total_s: Option<f64>,
     /// hooks / wall_max_s.
     pub hooks_per_wall_s: f64,
-    /// Σᵢ hooksᵢ / cpuᵢ — the lock-freedom scaling metric.
+    /// Σhooks / Σcpu — the lock-freedom scaling metric.
     pub hooks_per_cpu_s: Option<f64>,
     /// Median hook-evaluation latency (instrumented pass).
     pub eval_p50_ns: u64,
@@ -67,15 +68,11 @@ pub struct SoakResult {
     pub generations_delta: u64,
 }
 
-/// One scheduler tick of CPU time: readings are only tick-granular, so
-/// per-thread CPU time is clamped up to this before dividing.
-pub const CPU_TICK_NS: u64 = 10_000_000;
-
 /// Aggregates per-thread stats into a [`ConfigResult`].
 ///
 /// CPU-derived figures are produced whenever **every** thread reported
-/// a CPU reading (the reading itself may be zero ticks — it is clamped,
-/// never discarded).
+/// a CPU reading. The rate divides by at least 1 ns, so a zero reading
+/// yields a finite figure rather than a division by zero.
 pub fn aggregate(
     threads: usize,
     hooks: u64,
@@ -84,22 +81,11 @@ pub fn aggregate(
     eval_p99_ns: u64,
 ) -> ConfigResult {
     let syscalls: u64 = per_thread.iter().map(|t| t.syscalls).sum();
-    let hooks_per_syscall = hooks as f64 / syscalls.max(1) as f64;
     let wall_max_s = per_thread.iter().map(|t| t.wall_ns).max().unwrap_or(0) as f64 / 1e9;
     let hooks_per_wall_s = hooks as f64 / wall_max_s.max(1e-9);
-    let (cpu_total_s, hooks_per_cpu_s) = if per_thread.iter().all(|t| t.cpu_ns.is_some()) {
-        let mut total = 0u64;
-        let mut agg = 0.0f64;
-        for t in &per_thread {
-            let cpu = t.cpu_ns.unwrap_or(0);
-            total += cpu;
-            let cpu_s = cpu.max(CPU_TICK_NS) as f64 / 1e9;
-            agg += t.syscalls as f64 * hooks_per_syscall / cpu_s;
-        }
-        (Some(total as f64 / 1e9), Some(agg))
-    } else {
-        (None, None)
-    };
+    let cpu_total_ns: Option<u64> = per_thread.iter().map(|t| t.cpu_ns).sum();
+    let cpu_total_s = cpu_total_ns.map(|ns| ns as f64 / 1e9);
+    let hooks_per_cpu_s = cpu_total_ns.map(|ns| hooks as f64 / (ns.max(1) as f64 / 1e9));
     ConfigResult {
         threads,
         hooks,
@@ -150,7 +136,7 @@ pub fn render_full_json(
         "  \"workload\": \"web_serve\",\n  \"rules\": {rules},\n  \"level\": \"EPTSPC\",\n  \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \"host_cpus\": {host_cpus},\n"
     ));
     out.push_str(
-        "  \"note\": \"wall-clock throughput cannot scale past the host CPU count; hooks_per_cpu_s is the aggregate of per-thread hooks/CPU-second (utime+stime from /proc/thread-self/stat) and is the lock-freedom scaling metric; cpu_speedup_4_vs_1 is null only when the host has fewer than 4 CPUs\",\n",
+        "  \"note\": \"wall-clock throughput cannot scale past the host CPU count; hooks_per_cpu_s is total hooks over total worker CPU seconds (/proc/thread-self/schedstat run time, ns resolution) and is the lock-freedom scaling metric: it stays flat as threads are added while per-hook CPU cost stays flat; cpu_speedup_4_vs_1 is null only when the host has fewer than 4 CPUs\",\n",
     );
     out.push_str("  \"configs\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -252,6 +238,27 @@ mod tests {
         assert_eq!(r.cpu_total_s, Some(0.0));
         // Only a platform without CPU accounting at all loses the field.
         assert_eq!(fake_config(2, None).hooks_per_cpu_s, None);
+    }
+
+    /// Σhooks / Σcpu, not a sum of per-thread rates: four threads each
+    /// doing 1,000 hooks in 1 ms of CPU are 1e6 hooks per CPU-second,
+    /// the same rate as one such thread.
+    #[test]
+    fn cpu_rate_is_total_hooks_over_total_cpu() {
+        let per_thread = |threads: usize| {
+            (0..threads)
+                .map(|_| ThreadStats {
+                    wall_ns: 1_000_000,
+                    cpu_ns: Some(1_000_000),
+                    syscalls: 1_000,
+                })
+                .collect()
+        };
+        let four = aggregate(4, 4_000, per_thread(4), 0, 0);
+        assert_eq!(four.hooks_per_cpu_s, Some(1e6));
+        assert_eq!(four.cpu_total_s, Some(0.004));
+        let one = aggregate(1, 1_000, per_thread(1), 0, 0);
+        assert_eq!(one.hooks_per_cpu_s, four.hooks_per_cpu_s);
     }
 
     #[test]

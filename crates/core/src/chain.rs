@@ -109,12 +109,6 @@ impl Chain {
         sel == OP_ANY || sel == op as u8
     }
 
-    /// The op column, parallel to the rules.
-    #[cfg(test)]
-    pub(crate) fn ops(&self) -> &[u8] {
-        &self.ops
-    }
-
     fn compile_ops(&mut self) {
         self.ops.clear();
         self.ops
@@ -444,6 +438,13 @@ impl RuleBase {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Chain {
+        /// The op column, parallel to the rules.
+        pub(crate) fn ops(&self) -> &[u8] {
+            &self.ops
+        }
+    }
     use crate::rule::{DefaultMatches, Target};
     use pf_types::InternId;
 

@@ -195,11 +195,6 @@ impl<'e> Packet<'e> {
         self.env
     }
 
-    /// The bitmask of collected context fields.
-    pub fn collected_mask(&self) -> u32 {
-        self.collected
-    }
-
     /// Arms tracing for the rest of this invocation (TRACE target).
     /// The first call wins; later TRACE rules keep the original clock.
     pub(crate) fn start_trace(&mut self) {

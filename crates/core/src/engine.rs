@@ -24,14 +24,17 @@
 //!   lives on the stack or in the caller's [`TaskSession`]
 //!   (`crate::session`), never in the engine.
 //!
-//! LOG records buffer in invocation-local scratch and are appended to
-//! the shared log sink once, after the verdict is known — so the
+//! LOG records are fixed-size [`LogRecord`]s of numeric ids. They buffer
+//! in invocation-local scratch and are published to the firewall's LOG
+//! ring as one contiguous run once the verdict is known — so the
 //! DROP-patches-same-invocation-LOG rule (`docs/OBSERVABILITY.md`)
-//! holds even with interleaved concurrent invocations. The sink itself
-//! is a bounded overwrite-oldest ring ([`LogSink`]) with always-on
-//! `emitted == drained + dropped` accounting, so a fleet of tasks
-//! logging faster than the collector drains degrades to counted record
-//! loss instead of unbounded memory growth.
+//! holds even with interleaved concurrent invocations. TRACE hops go
+//! straight to the TRACE ring. Both are bounded lock-free
+//! [`RecordRing`]s (see [`crate::events`]) with the decision events'
+//! accounting, so a fleet of tasks logging faster than the collector
+//! drains degrades to counted record loss, never to unbounded memory
+//! growth or a blocked hook; names are resolved only at drain
+//! ([`ProcessFirewall::take_logs`], [`ProcessFirewall::drain_trace`]).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -46,14 +49,14 @@ use crate::config::{OptLevel, PfConfig};
 use crate::context::Packet;
 use crate::env::{CtxError, EvalEnv, Fetched};
 use crate::events::{
-    self, DecisionEvent, EventKind, EventPlane, EventVerdict, Gate, SamplingMode, ThrottleOutcome,
-    VcacheOutcome,
+    self, DecisionEvent, EventKind, EventPlane, EventVerdict, Gate, RecordRing, SamplingMode,
+    ThrottleOutcome, TraceEvent, TraceHop, VcacheOutcome, LOG_RING_CAP, TRACE_RING_CAP,
 };
 use crate::lang::{parse_command, Command, RuleOp};
-use crate::log::{LogDrain, LogEntry, LogSink};
+use crate::log::{LogDrain, LogEntry, LogRecord, LogTag};
 use crate::metrics::{
-    json_rows, prom_label_esc, prom_rows, violations, Counter, Metrics, OpFamily, RuleFamily,
-    TraceEvent, EVENT_ROWS, LOG_ROWS,
+    json_rows, prom_label_esc, prom_rows, violations, Counter, MetricDesc, Metrics, OpFamily,
+    RuleFamily, EVENT_ROWS, LOG_ROWS, TRACE_ROWS,
 };
 use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleSlotState};
 use crate::rule::{CtxPolicy, MatchModule, Rule, Target};
@@ -102,12 +105,14 @@ impl EvalDecision {
     }
 }
 
-/// The Process Firewall: shared ruleset snapshot, metrics, and logs.
+/// The Process Firewall: shared ruleset snapshot, metrics, and the
+/// three record streams.
 pub struct ProcessFirewall {
     shared: SharedRuleset,
     metrics: Metrics,
-    logs: LogSink,
     events: EventPlane,
+    logs: RecordRing<LogRecord>,
+    trace: RecordRing<TraceHop>,
 }
 
 /// One throttle rule's live bucket occupancy, as reported by
@@ -190,8 +195,9 @@ impl ProcessFirewall {
         ProcessFirewall {
             shared: SharedRuleset::new(level.config()),
             metrics: Metrics::new(),
-            logs: LogSink::default(),
             events: EventPlane::new(),
+            logs: RecordRing::new(LOG_RING_CAP),
+            trace: RecordRing::new(TRACE_RING_CAP),
         }
     }
 
@@ -433,9 +439,22 @@ impl ProcessFirewall {
         &self.metrics
     }
 
-    /// Drains the TRACE event ring, oldest first (see [`Target::Trace`]).
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        self.metrics.drain_trace()
+    /// Drains the TRACE ring, oldest first (see [`Target::Trace`]),
+    /// resolving names against the interner the rules were parsed with.
+    /// If the drain found hops overwritten, the first event has `gap`.
+    pub fn drain_trace(&self, names: &Interner) -> Vec<TraceEvent> {
+        let mut hops = Vec::new();
+        let lost = self.trace.drain_into(&mut hops);
+        let mut events: Vec<TraceEvent> = hops.iter().map(|h| h.resolve(names)).collect();
+        if let Some(first) = events.first_mut() {
+            first.gap = lost > 0;
+        }
+        events
+    }
+
+    /// The TRACE ring's accounting.
+    pub fn trace_ring(&self) -> &RecordRing<TraceHop> {
+        &self.trace
     }
 
     /// Live bucket occupancy of every installed RATELIMIT/QUOTA rule:
@@ -465,49 +484,41 @@ impl ProcessFirewall {
         out
     }
 
-    /// The [`EVENT_ROWS`] values, in table order.
-    fn event_values(&self) -> [u64; EVENT_ROWS.len()] {
-        let e = &self.events;
-        [e.emitted(), e.drained(), e.dropped()]
-    }
-
-    /// The [`LOG_ROWS`] values, in table order.
-    fn log_values(&self) -> [u64; LOG_ROWS.len()] {
-        let [emitted, drained, dropped, len] = self.logs.accounting();
-        [emitted, drained, dropped, len, self.logs.capacity() as u64]
+    /// Each record stream's JSON key, exporter rows, and row values:
+    /// `[emitted, drained, dropped]` first, then the LOG ring's
+    /// buffered and capacity gauges.
+    fn streams(&self) -> [(&'static str, &'static [MetricDesc], Vec<u64>); 3] {
+        let mut logs = self.logs.accounting().to_vec();
+        logs.extend([self.logs.len() as u64, self.logs.capacity() as u64]);
+        [
+            ("events", EVENT_ROWS, self.events.accounting().to_vec()),
+            ("logs", LOG_ROWS, logs),
+            ("trace", TRACE_ROWS, self.trace.accounting().to_vec()),
+        ]
     }
 
     /// The always-on accounting invariants that are violated right now,
-    /// one message each; empty when all hold. [`Metrics::check`] plus
-    /// the decision-event plane's `drained + dropped <= emitted` and the
-    /// LOG sink's exact `drained + dropped + len == emitted`.
+    /// one message each; empty when all hold: [`Metrics::check`] plus
+    /// `drained + dropped <= emitted` for each record stream (an
+    /// equality once a quiescent drain has run).
     pub fn check(&self) -> Vec<String> {
-        let ev = self.events.drained() + self.events.dropped();
-        let emitted = self.events.emitted();
-        let [log_emitted, drained, dropped, len] = self.logs.accounting();
-        let log = drained + dropped + len;
         let mut out = self.metrics.check();
-        out.extend(violations([
-            (
-                "events drained + dropped <= emitted",
-                ev <= emitted,
-                ev,
+        for (name, _, values) in self.streams() {
+            let (emitted, accounted) = (values[0], values[1] + values[2]);
+            out.extend(violations([(
+                &format!("{name} drained + dropped <= emitted")[..],
+                accounted <= emitted,
+                accounted,
                 emitted,
-            ),
-            (
-                "log drained + dropped + len == emitted",
-                log == log_emitted,
-                log,
-                log_emitted,
-            ),
-        ]));
+            )]));
+        }
         out
     }
 
     /// Renders the firewall-wide Prometheus exposition: everything in
-    /// [`Metrics::render_prometheus`] plus the [`EVENT_ROWS`] and
-    /// [`LOG_ROWS`] accounting, the active sampling mode, and live
-    /// throttle bucket occupancy.
+    /// [`Metrics::render_prometheus`] plus the [`EVENT_ROWS`],
+    /// [`LOG_ROWS`] and [`TRACE_ROWS`] accounting, the active sampling
+    /// mode, and live throttle bucket occupancy.
     ///
     /// Occupancy values are gauges: token balance for RATELIMIT rules,
     /// window grant count for QUOTA rules, keyed by
@@ -516,8 +527,9 @@ impl ProcessFirewall {
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = self.metrics.render_prometheus();
-        prom_rows(&mut out, EVENT_ROWS, &self.event_values(), "");
-        prom_rows(&mut out, LOG_ROWS, &self.log_values(), "");
+        for (_, rows, values) in self.streams() {
+            prom_rows(&mut out, rows, &values, "");
+        }
         out.push_str("pf_event_sampling_mode{mode=\"");
         prom_label_esc(&mut out, &self.events.sampling().render());
         out.push_str("\"} 1\n");
@@ -541,7 +553,8 @@ impl ProcessFirewall {
 
     /// Renders the firewall-wide JSON snapshot: everything in
     /// [`Metrics::to_json`] plus an `events` object ([`EVENT_ROWS`] and
-    /// the active sampling mode), a `logs` object ([`LOG_ROWS`]), and a
+    /// the active sampling mode), `logs` and `trace` objects
+    /// ([`LOG_ROWS`], [`TRACE_ROWS`]), and a
     /// `throttle_occupancy` array with one entry per live bucket slot
     /// (`value` is the token balance for RATELIMIT rules, the window
     /// grant count for QUOTA rules).
@@ -549,13 +562,17 @@ impl ProcessFirewall {
         use std::fmt::Write as _;
         let mut s = self.metrics.to_json();
         s.pop(); // reopen the metrics object to append firewall-level keys
-        s.push_str(",\"events\":{");
-        json_rows(&mut s, EVENT_ROWS, &self.event_values());
-        s.push_str(",\"sampling\":\"");
-        crate::log::esc(&mut s, &self.events.sampling().render());
-        s.push_str("\"},\"logs\":{");
-        json_rows(&mut s, LOG_ROWS, &self.log_values());
-        s.push_str("},\"throttle_occupancy\":[");
+        for (key, rows, values) in self.streams() {
+            let _ = write!(s, ",\"{key}\":{{");
+            json_rows(&mut s, rows, &values);
+            if key == "events" {
+                s.push_str(",\"sampling\":\"");
+                crate::log::esc(&mut s, &self.events.sampling().render());
+                s.push('"');
+            }
+            s.push('}');
+        }
+        s.push_str(",\"throttle_occupancy\":[");
         let mut first = true;
         for occ in self.throttle_occupancy() {
             for slot in &occ.slots {
@@ -585,31 +602,34 @@ impl ProcessFirewall {
         s
     }
 
-    /// The bounded LOG sink (counters, capacity, gap-marked drains).
-    pub fn log_sink(&self) -> &LogSink {
+    /// The LOG ring (accounting and capacity).
+    pub fn log_sink(&self) -> &RecordRing<LogRecord> {
         &self.logs
     }
 
-    /// Rebounds the LOG sink to `capacity` records (minimum 1).
-    /// Shrinking below the current occupancy drops the oldest records,
-    /// counted like any other overwrite.
-    pub fn set_log_capacity(&self, capacity: usize) {
-        self.logs.set_capacity(capacity);
-    }
-
-    /// Drains accumulated LOG records, oldest first.
-    pub fn take_logs(&self) -> Vec<LogEntry> {
-        self.logs.take()
-    }
-
-    /// Drains accumulated LOG records with the overflow gap marker (the
-    /// TRACE-ring discipline: `gap` is `true` when records were
-    /// overwritten since the previous drain).
+    /// Drains the LOG ring's records, oldest first, with the overflow
+    /// gap marker: `gap` is `true` when the drain found records
+    /// overwritten since the previous drain.
     pub fn drain_logs(&self) -> LogDrain {
-        self.logs.drain()
+        let mut entries = Vec::new();
+        let dropped_since_last = self.logs.drain_into(&mut entries);
+        LogDrain {
+            entries,
+            gap: dropped_since_last > 0,
+            dropped_since_last,
+        }
     }
 
-    /// Number of buffered LOG records. Never exceeds the sink capacity.
+    /// Drains the LOG ring and renders every record (see
+    /// [`LogRecord::resolve`]) against `mac` and `names`, the policy and
+    /// interner the rules were parsed with.
+    pub fn take_logs(&self, mac: &MacPolicy, names: &Interner) -> Vec<LogEntry> {
+        let records = self.drain_logs().entries;
+        records.iter().map(|r| r.resolve(mac, names)).collect()
+    }
+
+    /// Number of LOG records the next drain would return at most. Never
+    /// exceeds the ring capacity.
     pub fn log_count(&self) -> usize {
         self.logs.len()
     }
@@ -656,27 +676,16 @@ impl ProcessFirewall {
         // One-shot callers reuse a thread-local LOG buffer, so even the
         // sessionless hook path is allocation-free in the steady state.
         thread_local! {
-            static ONE_SHOT_SCRATCH: RefCell<Vec<LogEntry>> = const { RefCell::new(Vec::new()) };
+            static ONE_SHOT_SCRATCH: RefCell<Vec<LogRecord>> = const { RefCell::new(Vec::new()) };
         }
         let snap = self.shared.load();
+        let shard = events::thread_shard();
         ONE_SHOT_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => self.evaluate_on(&snap, env, op, &mut scratch),
+            Ok(mut scratch) => self.evaluate_cached(&snap, env, op, &mut scratch, None, shard),
             // A re-entrant evaluate on the same thread (an `EvalEnv`
             // whose callbacks evaluate): fall back to a fresh buffer.
-            Err(_) => self.evaluate_on(&snap, env, op, &mut Vec::new()),
+            Err(_) => self.evaluate_cached(&snap, env, op, &mut Vec::new(), None, shard),
         })
-    }
-
-    /// Evaluates one invocation against an explicit snapshot, using
-    /// `scratch` as the invocation-local LOG buffer.
-    pub(crate) fn evaluate_on(
-        &self,
-        snap: &RulesetSnapshot,
-        env: &mut dyn EvalEnv,
-        op: LsmOperation,
-        scratch: &mut Vec<LogEntry>,
-    ) -> EvalDecision {
-        self.evaluate_cached(snap, env, op, scratch, None, events::thread_shard())
     }
 
     /// The backbone of every evaluate path: one invocation against an
@@ -688,7 +697,7 @@ impl ProcessFirewall {
         snap: &RulesetSnapshot,
         env: &mut dyn EvalEnv,
         op: LsmOperation,
-        scratch: &mut Vec<LogEntry>,
+        scratch: &mut Vec<LogRecord>,
         cache: Option<&mut VerdictCache>,
         shard: usize,
     ) -> EvalDecision {
@@ -716,7 +725,7 @@ impl ProcessFirewall {
         let mut vc_outcome = VcacheOutcome::None;
         // LOG rules run before the verdict is known; they buffer in the
         // invocation-local scratch so a later DROP can patch exactly
-        // this invocation's records before they reach the shared sink.
+        // this invocation's records before they reach the LOG ring.
         scratch.clear();
         let mut pkt = Packet::new(env, config);
         // VCACHE: consult the verdict cache before walking. Key fetches
@@ -749,9 +758,9 @@ impl ProcessFirewall {
                                 vc_outcome = VcacheOutcome::Hit;
                                 // A cached deny replays its DROP record so
                                 // cached denials stay in the audit stream.
-                                if let Some(log) = &entry.log {
-                                    let mut log = log.clone();
+                                if let Some(mut log) = entry.log {
                                     log.ts = pkt.env_ref().now();
+                                    log.invocation = event_id;
                                     scratch.push(log);
                                 }
                                 hit = Some((entry.decision.clone(), entry.kind));
@@ -774,6 +783,7 @@ impl ProcessFirewall {
             config,
             metrics: &self.metrics,
             logs: scratch,
+            trace: &self.trace,
             degraded: false,
             cache_track: cache_ctx.is_some(),
             cache_blocked: false,
@@ -828,9 +838,7 @@ impl ProcessFirewall {
         }
         if decision.verdict == Verdict::Deny {
             for entry in scratch.iter_mut() {
-                if entry.verdict != "DENY" {
-                    entry.verdict = "DENY".to_owned();
-                }
+                entry.deny = true;
             }
         }
         if let Some((vc, key)) = cache_ctx {
@@ -844,7 +852,7 @@ impl ProcessFirewall {
                 // DROP line: LOG targets block caching, CTXFAIL implies
                 // degraded); store it for replay.
                 let log = match kind {
-                    VerdictKind::Drop => scratch.first().cloned(),
+                    VerdictKind::Drop => scratch.first().copied(),
                     _ => None,
                 };
                 vc.insert(
@@ -857,83 +865,50 @@ impl ProcessFirewall {
                 );
             }
         }
-        self.logs.append(scratch);
+        self.logs.publish(scratch);
         self.metrics.observe_eval(t0);
-        let rk = if event_id != 0 {
-            decision
-                .dropped_by
-                .as_ref()
-                .map(|(c, i)| events::rule_key(c, *i))
-                .unwrap_or(fired_rule)
-        } else {
-            0
-        };
-        self.emit_decision_event(
-            gate, shard, event_id, ev_t0, &mut pkt, op, &decision, verdict, vc_outcome, throttle,
-            hops, rk,
-        );
-        decision
-    }
-
-    /// Builds and emits one [`DecisionEvent`] for a completed
-    /// invocation. No-op unless the gate selected the invocation;
-    /// under `errors-only` a clean outcome returns before the event is
-    /// built (the id was already claimed, so `seq` gaps in drained
-    /// output are expected in that mode).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_decision_event(
-        &self,
-        gate: Gate,
-        shard: usize,
-        seq: u64,
-        t0: Option<Instant>,
-        pkt: &mut Packet<'_>,
-        op: LsmOperation,
-        decision: &EvalDecision,
-        verdict: EventVerdict,
-        vcache: VcacheOutcome,
-        throttle: ThrottleOutcome,
-        hops: u32,
-        rule_key: u64,
-    ) {
-        if !gate.armed() {
-            return;
-        }
-        if gate == Gate::ErrorsOnly
-            && !DecisionEvent::is_error_outcome(verdict, decision.degraded, throttle)
+        // Under `errors-only` a clean outcome emits nothing (its id was
+        // already claimed, so `seq` gaps in drained output are expected
+        // in that mode).
+        if gate == Gate::Emit
+            || (gate == Gate::ErrorsOnly
+                && DecisionEvent::is_error_outcome(verdict, decision.degraded, throttle))
         {
-            return;
-        }
-        let mut ev = DecisionEvent::empty();
-        ev.seq = seq;
-        ev.kind = EventKind::Decision;
-        ev.generation = decision.generation;
-        ev.op = op;
-        ev.verdict = verdict;
-        ev.degraded = decision.degraded;
-        ev.vcache = vcache;
-        ev.throttle = throttle;
-        ev.hops = hops;
-        ev.rule_key = rule_key;
-        {
+            let rule_key = match &decision.dropped_by {
+                Some((chain, index)) => events::rule_key(chain, *index),
+                None => fired_rule,
+            };
+            // Read-only peek: the entrypoint is reported only if the
+            // walk already collected it, so observation never perturbs
+            // the lazy-fetch behaviour it is recording.
+            let (ept_prog, ept_pc) = pkt
+                .entrypoint_collected()
+                .map_or((0, 0), |(p, pc)| (p.0, pc));
             let env = pkt.env_ref();
-            ev.ts = env.now();
-            ev.pid = env.pid().0;
-            ev.subject = env.subject_sid().0;
-            ev.program = env.program().0;
+            let ev = DecisionEvent {
+                seq: event_id,
+                kind: EventKind::Decision,
+                ts: env.now(),
+                generation: decision.generation,
+                op,
+                pid: env.pid().0,
+                subject: env.subject_sid().0,
+                program: env.program().0,
+                ept_prog,
+                ept_pc,
+                verdict,
+                degraded: decision.degraded,
+                vcache: vc_outcome,
+                throttle,
+                hops,
+                trace_armed: pkt.trace_clock().is_some(),
+                rule_key,
+                latency_ns: ev_t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                ..DecisionEvent::empty()
+            };
+            self.events.emit(shard, &ev);
         }
-        // Read-only peek: only report the entrypoint if the walk
-        // already collected it, so observation never perturbs the
-        // lazy-fetch behaviour it is recording.
-        if let Some((prog, pc)) = pkt.entrypoint_collected() {
-            ev.ept_prog = prog.0;
-            ev.ept_pc = pc;
-        }
-        ev.trace_armed = pkt.trace_clock().is_some();
-        if let Some(t0) = t0 {
-            ev.latency_ns = t0.elapsed().as_nanos() as u64;
-        }
-        self.events.emit(shard, &ev);
+        decision
     }
 }
 
@@ -945,7 +920,9 @@ struct Invocation<'a> {
     snap: &'a RulesetSnapshot,
     config: PfConfig,
     metrics: &'a Metrics,
-    logs: &'a mut Vec<LogEntry>,
+    logs: &'a mut Vec<LogRecord>,
+    /// The firewall's TRACE ring; hops are published as they happen.
+    trace: &'a RecordRing<TraceHop>,
     /// Set as soon as any context fetch *fails* and a `--ctx-missing`
     /// policy has to decide; stamped onto the decision and every TRACE
     /// event emitted afterwards.
@@ -1166,16 +1143,15 @@ impl<'a> Invocation<'a> {
             // Once tracing is armed, every traversed rule (matched or
             // not) emits an event — including the TRACE rule itself.
             if let Some(clock) = pkt.trace_clock() {
-                self.metrics.push_trace(TraceEvent {
-                    chain: chain.name(),
-                    rule_index: index,
-                    matched: fired,
-                    target: rule.target.kind_name(),
-                    elapsed_ns: clock.elapsed().as_nanos() as u64,
-                    degraded: self.degraded,
+                self.trace.publish(&[TraceHop {
                     invocation: self.event_id,
-                    gap: false,
-                });
+                    elapsed_ns: clock.elapsed().as_nanos() as u64,
+                    chain: rule.chain,
+                    rule: index as u32,
+                    target: rule.target.kind(),
+                    matched: fired,
+                    degraded: self.degraded,
+                }]);
             }
             match eval {
                 RuleEval::NoMatch => continue,
@@ -1183,7 +1159,7 @@ impl<'a> Invocation<'a> {
                     // Fail closed: a selector's context fetch failed and
                     // the governing policy is `drop`. The deny is
                     // attributed to this rule and flagged degraded.
-                    self.emit_log(pkt, op, "CTXFAIL", "DENY");
+                    self.emit_log(pkt, op, rule, index, LogTag::CTXFAIL);
                     return self.deny(chain, index, true);
                 }
                 RuleEval::Match => {}
@@ -1196,7 +1172,7 @@ impl<'a> Invocation<'a> {
             }
             match &rule.target {
                 Target::Drop => {
-                    self.emit_log(pkt, op, "DROP", "DENY");
+                    self.emit_log(pkt, op, rule, index, LogTag::DROP);
                     return self.deny(chain, index, self.degraded);
                 }
                 Target::Accept => {
@@ -1220,7 +1196,7 @@ impl<'a> Invocation<'a> {
                         // the traversal was complete.
                         self.metrics.bump(Counter::JumpDepthExceeded);
                         self.degraded = true;
-                        self.emit_log(pkt, op, "JUMPDEPTH", "ALLOW");
+                        self.emit_log(pkt, op, rule, index, LogTag::JUMPDEPTH);
                     }
                 }
                 Target::StateSet { key, value } => match self.resolve(*value, pkt) {
@@ -1232,7 +1208,7 @@ impl<'a> Invocation<'a> {
                     Fetched::Failed(_) => self.degraded = true,
                 },
                 Target::StateUnset { key } => pkt.env().state_unset(*key),
-                Target::Log { tag } => self.emit_log(pkt, op, tag, "ALLOW"),
+                Target::Log { tag } => self.emit_log(pkt, op, rule, index, LogTag::Rule(*tag)),
                 Target::Trace => {}
                 Target::RateLimit { .. } | Target::Quota { .. } => {
                     if let Some(d) = self.run_throttle(rule, chain, index, pkt, op) {
@@ -1279,14 +1255,14 @@ impl<'a> Invocation<'a> {
                 // not turn a rate limit into an unconditional allow.
                 return match self.on_ctx_failure(rule, chain) {
                     CtxPolicy::Drop => {
-                        self.emit_log(pkt, op, "CTXFAIL", "DENY");
+                        self.emit_log(pkt, op, rule, index, LogTag::CTXFAIL);
                         self.deny(chain, index, true)
                     }
                     // Explicit opt-out (`--ctx-missing skip`): the rule
                     // stands aside, but never silently — the decision
                     // is already marked degraded and the lapse logged.
                     CtxPolicy::Skip => {
-                        self.emit_log(pkt, op, "CTXFAIL", "ALLOW");
+                        self.emit_log(pkt, op, rule, index, LogTag::CTXFAIL);
                         None
                     }
                     // `match`: treat the unaccountable access as over
@@ -1336,25 +1312,25 @@ impl<'a> Invocation<'a> {
         op: LsmOperation,
         exceed: ExceedPolicy,
     ) -> Option<EvalDecision> {
-        let tag = rule.target.kind_name();
         // Over budget (or unaccountable under `--ctx-missing match`):
         // record which flavour rejected, whatever the exceed policy.
-        self.throttle = match &rule.target {
-            Target::RateLimit { .. } => ThrottleOutcome::RateLimited,
-            _ => ThrottleOutcome::QuotaExceeded,
+        let tag;
+        (self.throttle, tag) = match &rule.target {
+            Target::RateLimit { .. } => (ThrottleOutcome::RateLimited, LogTag::RATELIMIT),
+            _ => (ThrottleOutcome::QuotaExceeded, LogTag::QUOTA),
         };
         match exceed {
             ExceedPolicy::Drop => {
-                self.emit_log(pkt, op, tag, "DENY");
+                self.emit_log(pkt, op, rule, index, tag);
                 self.deny(chain, index, self.degraded)
             }
             ExceedPolicy::Log => {
-                self.emit_log(pkt, op, tag, "ALLOW");
+                self.emit_log(pkt, op, rule, index, tag);
                 None
             }
             ExceedPolicy::Degrade => {
                 self.degraded = true;
-                self.emit_log(pkt, op, tag, "ALLOW");
+                self.emit_log(pkt, op, rule, index, tag);
                 None
             }
         }
@@ -1556,31 +1532,36 @@ impl<'a> Invocation<'a> {
         })
     }
 
-    fn emit_log(&mut self, pkt: &mut Packet<'_>, op: LsmOperation, tag: &str, verdict: &str) {
+    /// Buffers one LOG record written by rule `index` (`rule`). Its
+    /// verdict reads ALLOW until the invocation ends in a deny.
+    fn emit_log(
+        &mut self,
+        pkt: &mut Packet<'_>,
+        op: LsmOperation,
+        rule: &Rule,
+        index: usize,
+        tag: LogTag,
+    ) {
         let ept = pkt.entrypoint_value(self.metrics).ok();
         let adv_write = pkt.adv_write_value(self.metrics).ok().unwrap_or(false);
         let adv_read = pkt.adv_read_value(self.metrics).ok().unwrap_or(false);
         let env = pkt.env_ref();
-        let mac = env.mac();
-        let object = env.object();
-        let entry = LogEntry {
+        self.logs.push(LogRecord {
             ts: env.now(),
             pid: env.pid().0,
-            subject: mac.label_name(env.subject_sid()).to_owned(),
-            program: env.program_name(env.program()),
-            ept_prog: ept.map(|(p, _)| env.program_name(p)).unwrap_or_default(),
-            ept_pc: ept.map(|(_, pc)| pc).unwrap_or(0),
+            subject: env.subject_sid(),
+            program: env.program(),
+            ept,
             op,
-            object: object
-                .map(|o| mac.label_name(o.sid).to_owned())
-                .unwrap_or_default(),
-            resource: object.map(|o| o.resource.to_string()).unwrap_or_default(),
+            object: env.object().map(|o| (o.sid, o.resource)),
             adv_write,
             adv_read,
-            tag: tag.to_owned(),
-            verdict: verdict.to_owned(),
-        };
-        self.logs.push(entry);
+            tag,
+            deny: false,
+            chain: rule.chain,
+            rule: index as u32,
+            invocation: self.event_id,
+        });
     }
 }
 
@@ -2038,7 +2019,7 @@ mod tests {
             pf.evaluate(&mut env, LsmOperation::FileOpen).verdict,
             Verdict::Allow
         );
-        let logs = pf.take_logs();
+        let logs = pf.take_logs(&env.mac, &env.programs);
         assert_eq!(logs.len(), 1);
         assert_eq!(logs[0].object, "tmp_t");
         assert_eq!(logs[0].ept_pc, 0x100);
@@ -2053,7 +2034,7 @@ mod tests {
         let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
         install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
         pf.evaluate(&mut env, LsmOperation::FileOpen);
-        let logs = pf.take_logs();
+        let logs = pf.take_logs(&env.mac, &env.programs);
         assert_eq!(logs.len(), 1);
         assert_eq!(logs[0].verdict, "DENY");
     }
@@ -2477,7 +2458,7 @@ mod tests {
         );
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Deny);
-        let events = pf.drain_trace();
+        let events = pf.drain_trace(&env.programs);
         let path: Vec<_> = events
             .iter()
             .map(|e| (e.chain.as_str(), e.rule_index, e.matched, e.target))
@@ -2498,10 +2479,99 @@ mod tests {
                 .all(|w| w[0].elapsed_ns <= w[1].elapsed_ns),
             "event timestamps are monotonic"
         );
-        assert!(pf.drain_trace().is_empty(), "drain empties the ring");
+        assert!(
+            pf.drain_trace(&env.programs).is_empty(),
+            "drain empties the ring"
+        );
         // An invocation that never hits a TRACE rule emits nothing.
         pf.evaluate(&mut env, LsmOperation::FileWrite);
-        assert!(pf.drain_trace().is_empty());
+        assert!(pf.drain_trace(&env.programs).is_empty());
+    }
+
+    #[test]
+    fn trace_ring_is_bounded() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut names = Interner::new();
+        let chain = names.intern("input");
+        let hop = |rule: u32, invocation: u64| TraceHop {
+            invocation,
+            elapsed_ns: 0,
+            chain,
+            rule,
+            target: 0,
+            matched: true,
+            degraded: false,
+        };
+        for i in 0..(TRACE_RING_CAP + 10) {
+            pf.trace.publish(&[hop(i as u32, 0)]);
+        }
+        assert_eq!(pf.trace_ring().len(), TRACE_RING_CAP);
+        let events = pf.drain_trace(&names);
+        assert_eq!(events.len(), TRACE_RING_CAP);
+        assert_eq!(pf.trace_ring().dropped(), 10);
+        assert_eq!(events[0].rule_index, 10, "oldest events were dropped");
+        assert_eq!(
+            (events[0].chain.as_str(), events[0].target),
+            ("input", "DROP")
+        );
+        assert!(events[0].gap, "overflow marks a gap on the first drain");
+        assert!(!events[1].gap, "only the first drained event is marked");
+        assert_eq!(pf.trace_ring().len(), 0);
+
+        // A second overflow-free round drains without a gap marker.
+        pf.trace.publish(&[hop(0, 7)]);
+        let events = pf.drain_trace(&names);
+        assert_eq!(events.len(), 1);
+        assert!(!events[0].gap, "no drops since last drain, no gap");
+        assert_eq!(events[0].invocation, 7);
+    }
+
+    /// Records hold interned ids, and interned names only grow, so a
+    /// LOG record and a TRACE hop drained after a reload that deleted
+    /// their rule and its user chain still name both.
+    #[test]
+    fn records_resolve_after_reload_removes_their_rule_and_chain() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        pf.reload(
+            [
+                "pftables -N audit",
+                "pftables -o FILE_OPEN -j AUDIT",
+                "pftables -A audit -o FILE_OPEN -j TRACE",
+                "pftables -A audit -o FILE_OPEN -j LOG --tag audited",
+            ],
+            &mut env.mac,
+            &mut env.programs,
+        )
+        .unwrap();
+        pf.evaluate(&mut env, LsmOperation::FileOpen);
+        pf.reload(
+            ["pftables -o FILE_WRITE -j DROP"],
+            &mut env.mac,
+            &mut env.programs,
+        )
+        .unwrap();
+        assert!(pf.base().iter().all(|(c, _)| c.as_str() != "audit"));
+        pf.evaluate(&mut env, LsmOperation::FileOpen);
+
+        let logs = pf.take_logs(&env.mac, &env.programs);
+        assert_eq!(logs.len(), 1);
+        assert_eq!(
+            (logs[0].tag.as_str(), logs[0].verdict.as_str()),
+            ("audited", "ALLOW")
+        );
+        let hops: Vec<_> = pf
+            .drain_trace(&env.programs)
+            .into_iter()
+            .map(|e| (e.chain, e.rule_index, e.target))
+            .collect();
+        assert_eq!(
+            hops,
+            [
+                ("audit".to_owned(), 0, "TRACE"),
+                ("audit".to_owned(), 1, "LOG"),
+            ]
+        );
     }
 
     #[test]
@@ -2515,7 +2585,7 @@ mod tests {
         pf.evaluate(&mut env, LsmOperation::FileWrite);
         // LOG then DROP in the same invocation: patched to DENY.
         pf.evaluate(&mut env, LsmOperation::FileOpen);
-        let logs = pf.take_logs();
+        let logs = pf.take_logs(&env.mac, &env.programs);
         let w = logs.iter().find(|e| e.tag == "w").unwrap();
         let o = logs.iter().find(|e| e.tag == "o").unwrap();
         assert_eq!(w.verdict, "ALLOW", "earlier invocation is untouched");
@@ -2797,7 +2867,7 @@ mod tests {
         );
         env.fail_unwind = true;
         pf.evaluate(&mut env, LsmOperation::FileOpen);
-        let events = pf.drain_trace();
+        let events = pf.drain_trace(&env.programs);
         assert!(!events.is_empty());
         assert!(
             events.iter().any(|e| e.degraded),
@@ -2814,18 +2884,18 @@ mod tests {
         install(&pf, &mut env, "pftables -o FILE_OPEN -j LOG --tag x");
         pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(pf.log_count(), 1);
-        // One thread panics while holding the log-sink guard…
+        // One thread panics while holding the LOG drain cursor…
         let pf2 = Arc::clone(&pf);
         let worker = std::thread::spawn(move || {
             let _guard = pf2.logs.lock_raw();
-            panic!("worker dies mid-append");
+            panic!("worker dies mid-drain");
         });
         assert!(worker.join().is_err(), "worker panicked as intended");
         // …and evaluation, counting, and draining all keep working.
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Allow);
         assert_eq!(pf.log_count(), 2);
-        assert_eq!(pf.take_logs().len(), 2);
+        assert_eq!(pf.take_logs(&env.mac, &env.programs).len(), 2);
         assert_eq!(pf.log_count(), 0);
     }
 
@@ -2952,7 +3022,7 @@ mod tests {
         assert_eq!(d.verdict, Verdict::Allow);
         assert!(d.degraded, "a truncated traversal is degraded");
         assert_eq!(pf.metrics().jump_depth_exceeded(), 1);
-        let logs = pf.take_logs();
+        let logs = pf.take_logs(&env.mac, &env.programs);
         assert_eq!(logs.len(), 1);
         assert_eq!(logs[0].tag, "JUMPDEPTH");
         assert_eq!(pf.metrics().degraded_allows(), 1);
@@ -2980,7 +3050,7 @@ mod tests {
             "a hit walks no rules"
         );
         // The deny log is replayed on the hit: both invocations audited.
-        let logs = pf.take_logs();
+        let logs = pf.take_logs(&env.mac, &env.programs);
         assert_eq!(logs.len(), 2);
         assert!(logs.iter().all(|e| e.verdict == "DENY" && e.tag == "DROP"));
         // Default-allow outcomes cache too, and the verdict counters
@@ -3489,7 +3559,7 @@ mod tests {
             .filter_map(|c| m.chain_snapshot(&c).map(|s| (c, s)))
             .collect();
         let hops = pf
-            .drain_trace()
+            .drain_trace(&env.programs)
             .into_iter()
             .map(|e| (e.chain, e.rule_index, e.matched, e.target, e.degraded))
             .collect();

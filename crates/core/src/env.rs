@@ -188,10 +188,11 @@ pub trait EvalEnv {
     /// Signal-delivery context (only on signal operations).
     fn signal(&self) -> Option<SignalInfo>;
 
-    /// The MAC policy (for adversary accessibility and label names).
+    /// The MAC policy (for adversary accessibility).
     fn mac(&self) -> &MacPolicy;
 
-    /// Resolves a program id to its path for logging.
+    /// Resolves a program id to its path (the engine no longer calls
+    /// it: LOG records carry the id and resolve at drain).
     fn program_name(&self, id: ProgramId) -> String;
 
     /// Reads a per-process STATE-dictionary entry.

@@ -1,60 +1,72 @@
-//! The decision-event tracing plane: lock-free per-shard event rings.
+//! The record plane: every record the engine writes, in bounded
+//! lock-free rings of one type, [`RecordRing`].
 //!
-//! Counters (`metrics.rs`) say *how often* the engine did something;
-//! decision events say *what happened on one specific invocation* —
-//! which snapshot generation decided it, what the verdict was, whether
-//! the verdict cache or a throttle bucket was involved, and how long
-//! the hook took. The rule-generation pipeline (Section 6.3 of the
-//! paper) and runtime anomaly detection both consume this stream, so
-//! it must be recordable at production rates without ever blocking the
-//! hook path.
+//! Counters (`metrics.rs`) say *how often*; records say *what happened
+//! on one invocation*. There are three streams: **decision events**
+//! ([`DecisionEvent`]; sampled by [`SamplingMode`], [`EVENT_SHARDS`]
+//! rings of [`EVENT_RING_CAP`] slots), **LOG records**
+//! ([`crate::log::LogRecord`], the paper's LOG target of Section 5.2;
+//! one ring of [`LOG_RING_CAP`]) and **TRACE hops** ([`TraceHop`]; one
+//! ring of [`TRACE_RING_CAP`]). Every record is a fixed-size value of
+//! numeric ids, so the hook path never allocates for it; names are
+//! resolved only at drain, against the MAC policy and the interner the
+//! rules were parsed with. Both only grow, so a record drained after any
+//! number of reloads still resolves to the names it was written with.
 //!
 //! # Design
 //!
-//! * **Per-shard, fixed-capacity rings.** [`EVENT_SHARDS`] rings of
-//!   [`EVENT_RING_CAP`] slots each. Every [`crate::TaskSession`] is
-//!   assigned one shard round-robin at construction (the one-shot
-//!   `evaluate` path uses a per-thread shard the same way), so
-//!   concurrent writers rarely share a cache line.
-//! * **Lock-free writers, overwrite-oldest.** A writer claims a slot
-//!   with one atomic fetch-add on the shard head and publishes the
-//!   record through a per-slot seqlock (claim → write → publish, all
-//!   wait-free). When the ring laps, the oldest records are simply
-//!   overwritten; the always-on accounting makes the loss visible:
-//!   after any quiescent drain, `emitted() == drained() + dropped()`
-//!   holds *exactly*.
-//! * **No torn events.** Slot payloads are arrays of relaxed
-//!   `AtomicU64` words guarded by the slot's sequence number (acquire/
-//!   release fences pair writer and reader); a drain that races a
-//!   writer rejects the slot and counts it dropped rather than ever
-//!   returning a half-written record.
-//! * **Sampling is runtime state,** not snapshot state: changing the
-//!   mode (`pftables -E always|1/N|errors-only|off`) is one atomic
-//!   store — no reload, no generation bump. With sampling off the hook
-//!   path pays exactly one relaxed load and a predicted branch.
+//! * **Fixed capacity, allocated on the first record,** so a world that
+//!   never logs, traces or samples pays nothing for the stream.
+//! * **Lock-free writers, overwrite-oldest.** A writer claims a run of
+//!   positions with one fetch-add on the ring head and publishes each
+//!   record through its slot's seqlock. It waits only when the ring
+//!   has lapped onto a slot another writer is still publishing into.
+//! * **One accounting rule.** `emitted()` is the ring head. A drain
+//!   counts a record *drained* when it returns it and *dropped* when a
+//!   later lap overwrote it first, so `drained() + dropped() <=
+//!   emitted()` always holds, with equality after a quiescent drain. A
+//!   record still being published ends a drain and comes back on the
+//!   next one: records are lost only when a ring overflows.
+//! * **No torn records.** Slot payloads are relaxed `AtomicU64` words
+//!   guarded by the slot's sequence number (acquire/release fences pair
+//!   writer and reader); a drain that sees the sequence move under it
+//!   counts the record dropped rather than return a half-written one.
+//! * **Sampling is runtime state:** changing the decision-event mode
+//!   (`pftables -E always|1/N|errors-only|off`) is one atomic store.
+//!   With sampling off the hook path pays one relaxed load and a
+//!   predicted branch.
 //!
-//! The drain side ([`EventPlane::drain`]) merges all shards into
-//! emission-timestamp order: the globally monotonic sequence number is
-//! claimed atomically at emit time, so the merged stream is totally
-//! ordered and, per task, order-consistent with the virtual-clock `ts`
-//! riding in each event (see `docs/CONCURRENCY.md`).
+//! [`EventPlane::drain`] merges the decision shards into emission order
+//! by the globally monotonic `seq` claimed at emit time (see
+//! `docs/CONCURRENCY.md`).
 
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use pf_types::LsmOperation;
+use pf_types::{InternId, Interner, LsmOperation};
 
-/// Number of event rings; writers are spread across them round-robin.
+use crate::log::esc;
+use crate::rule::TARGET_KINDS;
+
+/// Number of decision-event rings; writers are spread across them
+/// round-robin.
 pub const EVENT_SHARDS: usize = 8;
 
-/// Slots per shard ring. With [`EVENT_SHARDS`] shards the plane holds
-/// up to `EVENT_SHARDS * EVENT_RING_CAP` undrained events before the
-/// overwrite-oldest policy starts dropping.
+/// Slots per decision-event ring. With [`EVENT_SHARDS`] shards the
+/// plane holds up to `EVENT_SHARDS * EVENT_RING_CAP` undrained events
+/// before the overwrite-oldest policy starts dropping.
 pub const EVENT_RING_CAP: usize = 1024;
 
-/// Words of payload per slot (the packed [`DecisionEvent`] encoding).
-const EVENT_WORDS: usize = 13;
+/// Slots in the LOG ring (about 0.9 MB once allocated).
+pub const LOG_RING_CAP: usize = 8192;
+
+/// Slots in the TRACE ring.
+pub const TRACE_RING_CAP: usize = 4096;
+
+/// Words of payload per slot: every record kind packs into this many.
+pub const RECORD_WORDS: usize = 13;
 
 /// Slot-seqlock sentinel: a writer is mid-publish.
 const BUSY: u64 = u64::MAX;
@@ -125,141 +137,91 @@ impl SamplingMode {
     }
 }
 
-/// What kind of record an event is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// One hook evaluation's outcome.
-    Decision,
-    /// A batch control-plane edit (reload / restore) started.
-    ReloadBegin,
-    /// A control-plane edit published a new snapshot generation.
-    ReloadCommit,
-    /// A control-plane edit aborted; the previous snapshot stayed live.
-    ReloadAbort,
+/// Declares a fieldless enum packed into a slot word by its
+/// discriminant, with its stable lowercase JSONL names.
+macro_rules! packed_enum {
+    ($(#[$meta:meta])* enum $Enum:ident {
+        $($(#[$vmeta:meta])* $Variant:ident => $name:literal,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $Enum {
+            $($(#[$vmeta])* $Variant,)+
+        }
+
+        impl $Enum {
+            const ALL: &'static [$Enum] = &[$($Enum::$Variant),+];
+
+            /// Stable lowercase name for JSONL export.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($Enum::$Variant => $name,)+
+                }
+            }
+
+            /// The variant packed as `v` (the first if `v` is unknown).
+            fn from_u8(v: u8) -> $Enum {
+                Self::ALL.get(usize::from(v)).copied().unwrap_or(Self::ALL[0])
+            }
+        }
+    };
 }
 
-impl EventKind {
-    /// Stable lowercase name for JSONL export.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Decision => "decision",
-            EventKind::ReloadBegin => "reload_begin",
-            EventKind::ReloadCommit => "reload_commit",
-            EventKind::ReloadAbort => "reload_abort",
-        }
-    }
-
-    fn from_u8(v: u8) -> EventKind {
-        match v {
-            1 => EventKind::ReloadBegin,
-            2 => EventKind::ReloadCommit,
-            3 => EventKind::ReloadAbort,
-            _ => EventKind::Decision,
-        }
-    }
-}
-
-/// The verdict an event records (`None` for control-plane events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventVerdict {
-    /// Not a decision event.
-    None,
-    /// An explicit ACCEPT.
-    Allow,
-    /// A DROP (including fail-closed and throttle denials).
-    Deny,
-    /// No terminal rule matched; the default policy allowed.
-    DefaultAllow,
-}
-
-impl EventVerdict {
-    /// Stable lowercase name for JSONL export.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventVerdict::None => "none",
-            EventVerdict::Allow => "allow",
-            EventVerdict::Deny => "deny",
-            EventVerdict::DefaultAllow => "default_allow",
-        }
-    }
-
-    fn from_u8(v: u8) -> EventVerdict {
-        match v {
-            1 => EventVerdict::Allow,
-            2 => EventVerdict::Deny,
-            3 => EventVerdict::DefaultAllow,
-            _ => EventVerdict::None,
-        }
+packed_enum! {
+    /// What kind of record an event is.
+    enum EventKind {
+        /// One hook evaluation's outcome.
+        Decision => "decision",
+        /// A batch control-plane edit (reload / restore) started.
+        ReloadBegin => "reload_begin",
+        /// A control-plane edit published a new snapshot generation.
+        ReloadCommit => "reload_commit",
+        /// A control-plane edit aborted; the previous snapshot stayed live.
+        ReloadAbort => "reload_abort",
     }
 }
 
-/// How the verdict cache participated in a decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VcacheOutcome {
-    /// The cache was not consulted (not at the VCACHE level, or the
-    /// ruleset/operation was not cache-eligible).
-    None,
-    /// The verdict was served from the cache without a walk.
-    Hit,
-    /// A cache-eligible walk ran and populated an entry.
-    Miss,
-    /// The walk ran but its outcome was not cacheable (degraded, failed
-    /// key fetch, or an impure rule on the path).
-    Uncacheable,
-}
-
-impl VcacheOutcome {
-    /// Stable lowercase name for JSONL export.
-    pub fn name(self) -> &'static str {
-        match self {
-            VcacheOutcome::None => "none",
-            VcacheOutcome::Hit => "hit",
-            VcacheOutcome::Miss => "miss",
-            VcacheOutcome::Uncacheable => "uncacheable",
-        }
-    }
-
-    fn from_u8(v: u8) -> VcacheOutcome {
-        match v {
-            1 => VcacheOutcome::Hit,
-            2 => VcacheOutcome::Miss,
-            3 => VcacheOutcome::Uncacheable,
-            _ => VcacheOutcome::None,
-        }
+packed_enum! {
+    /// The verdict an event records (`None` for control-plane events).
+    enum EventVerdict {
+        /// Not a decision event.
+        None => "none",
+        /// An explicit ACCEPT.
+        Allow => "allow",
+        /// A DROP (including fail-closed and throttle denials).
+        Deny => "deny",
+        /// No terminal rule matched; the default policy allowed.
+        DefaultAllow => "default_allow",
     }
 }
 
-/// How RATELIMIT/QUOTA targets participated in a decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThrottleOutcome {
-    /// No throttle rule fired on the walk.
-    None,
-    /// A throttle rule fired and granted (budget remained).
-    Granted,
-    /// A RATELIMIT bucket rejected the access.
-    RateLimited,
-    /// A QUOTA window rejected the access.
-    QuotaExceeded,
+packed_enum! {
+    /// How the verdict cache participated in a decision.
+    enum VcacheOutcome {
+        /// The cache was not consulted (not at the VCACHE level, or the
+        /// ruleset/operation was not cache-eligible).
+        None => "none",
+        /// The verdict was served from the cache without a walk.
+        Hit => "hit",
+        /// A cache-eligible walk ran and populated an entry.
+        Miss => "miss",
+        /// The walk ran but its outcome was not cacheable (degraded,
+        /// failed key fetch, or an impure rule on the path).
+        Uncacheable => "uncacheable",
+    }
 }
 
-impl ThrottleOutcome {
-    /// Stable lowercase name for JSONL export.
-    pub fn name(self) -> &'static str {
-        match self {
-            ThrottleOutcome::None => "none",
-            ThrottleOutcome::Granted => "granted",
-            ThrottleOutcome::RateLimited => "ratelimited",
-            ThrottleOutcome::QuotaExceeded => "quota_exceeded",
-        }
-    }
-
-    fn from_u8(v: u8) -> ThrottleOutcome {
-        match v {
-            1 => ThrottleOutcome::Granted,
-            2 => ThrottleOutcome::RateLimited,
-            3 => ThrottleOutcome::QuotaExceeded,
-            _ => ThrottleOutcome::None,
-        }
+packed_enum! {
+    /// How RATELIMIT/QUOTA targets participated in a decision.
+    enum ThrottleOutcome {
+        /// No throttle rule fired on the walk.
+        None => "none",
+        /// A throttle rule fired and granted (budget remained).
+        Granted => "granted",
+        /// A RATELIMIT bucket rejected the access.
+        RateLimited => "ratelimited",
+        /// A QUOTA window rejected the access.
+        QuotaExceeded => "quota_exceeded",
     }
 }
 
@@ -328,9 +290,8 @@ pub struct DecisionEvent {
     pub throttle: ThrottleOutcome,
     /// Rules traversed by this invocation's walk (0 on a vcache hit).
     pub hops: u32,
-    /// Whether a TRACE rule armed per-hop tracing: the hop-by-hop chain
-    /// path is then in the TRACE ring, correlated by `seq` (the
-    /// `TraceEvent::invocation` field).
+    /// Whether a TRACE rule armed per-hop tracing; its hops carry this
+    /// `seq` as [`TraceEvent::invocation`].
     pub trace_armed: bool,
     /// [`rule_key`] of the rule a denial is attributed to; 0 otherwise.
     pub rule_key: u64,
@@ -349,31 +310,10 @@ pub struct DecisionEvent {
 }
 
 impl DecisionEvent {
-    /// A zeroed placeholder (ring-slot initial value).
+    /// A zeroed placeholder: the record all-zero slot words decode to
+    /// (`Decision` kind, `None` outcomes, `FILE_OPEN`, every id 0).
     pub fn empty() -> DecisionEvent {
-        DecisionEvent {
-            seq: 0,
-            kind: EventKind::Decision,
-            ts: 0,
-            generation: 0,
-            op: LsmOperation::FileOpen,
-            pid: 0,
-            subject: 0,
-            program: 0,
-            ept_prog: 0,
-            ept_pc: 0,
-            verdict: EventVerdict::None,
-            degraded: false,
-            vcache: VcacheOutcome::None,
-            throttle: ThrottleOutcome::None,
-            hops: 0,
-            trace_armed: false,
-            rule_key: 0,
-            latency_ns: 0,
-            aux: 0,
-            aux2: 0,
-            aux3: 0,
-        }
+        Self::decode(&[0; RECORD_WORDS])
     }
 
     /// `true` for the outcomes `errors-only` sampling keeps: denials,
@@ -395,86 +335,6 @@ impl DecisionEvent {
                 throttle,
                 ThrottleOutcome::RateLimited | ThrottleOutcome::QuotaExceeded
             )
-    }
-
-    fn encode(&self) -> [u64; EVENT_WORDS] {
-        let kind = match self.kind {
-            EventKind::Decision => 0u64,
-            EventKind::ReloadBegin => 1,
-            EventKind::ReloadCommit => 2,
-            EventKind::ReloadAbort => 3,
-        };
-        let verdict = match self.verdict {
-            EventVerdict::None => 0u64,
-            EventVerdict::Allow => 1,
-            EventVerdict::Deny => 2,
-            EventVerdict::DefaultAllow => 3,
-        };
-        let vcache = match self.vcache {
-            VcacheOutcome::None => 0u64,
-            VcacheOutcome::Hit => 1,
-            VcacheOutcome::Miss => 2,
-            VcacheOutcome::Uncacheable => 3,
-        };
-        let throttle = match self.throttle {
-            ThrottleOutcome::None => 0u64,
-            ThrottleOutcome::Granted => 1,
-            ThrottleOutcome::RateLimited => 2,
-            ThrottleOutcome::QuotaExceeded => 3,
-        };
-        let flags = kind
-            | (verdict << 4)
-            | (vcache << 8)
-            | (throttle << 12)
-            | ((self.degraded as u64) << 16)
-            | ((self.trace_armed as u64) << 17)
-            | ((self.op as u64) << 24);
-        [
-            self.seq,
-            self.ts,
-            self.generation,
-            flags,
-            (self.subject as u64) | ((self.program as u64) << 32),
-            (self.ept_prog as u64) | ((self.pid as u64) << 32),
-            self.ept_pc,
-            self.hops as u64,
-            self.rule_key,
-            self.latency_ns,
-            self.aux,
-            self.aux2,
-            self.aux3,
-        ]
-    }
-
-    fn decode(w: &[u64; EVENT_WORDS]) -> DecisionEvent {
-        let flags = w[3];
-        let op_idx = ((flags >> 24) & 0xff) as usize;
-        DecisionEvent {
-            seq: w[0],
-            ts: w[1],
-            generation: w[2],
-            kind: EventKind::from_u8((flags & 0xf) as u8),
-            verdict: EventVerdict::from_u8(((flags >> 4) & 0xf) as u8),
-            vcache: VcacheOutcome::from_u8(((flags >> 8) & 0xf) as u8),
-            throttle: ThrottleOutcome::from_u8(((flags >> 12) & 0xf) as u8),
-            degraded: flags & (1 << 16) != 0,
-            trace_armed: flags & (1 << 17) != 0,
-            op: LsmOperation::ALL
-                .get(op_idx)
-                .copied()
-                .unwrap_or(LsmOperation::FileOpen),
-            subject: (w[4] & 0xffff_ffff) as u32,
-            program: (w[4] >> 32) as u32,
-            ept_prog: (w[5] & 0xffff_ffff) as u32,
-            pid: (w[5] >> 32) as u32,
-            ept_pc: w[6],
-            hops: w[7] as u32,
-            rule_key: w[8],
-            latency_ns: w[9],
-            aux: w[10],
-            aux2: w[11],
-            aux3: w[12],
-        }
     }
 
     /// Renders the event as one JSONL line.
@@ -531,40 +391,157 @@ impl DecisionEvent {
     }
 }
 
-/// One ring slot: a seqlock over an array of relaxed atomic words.
-///
-/// `seq == 0` means never written, `seq == pos + 1` means position
-/// `pos`'s record is published, [`BUSY`] means a writer is mid-flight.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; EVENT_WORDS],
-}
+impl Record for DecisionEvent {
+    fn encode(&self) -> [u64; RECORD_WORDS] {
+        let flags = self.kind as u64
+            | ((self.verdict as u64) << 4)
+            | ((self.vcache as u64) << 8)
+            | ((self.throttle as u64) << 12)
+            | ((self.degraded as u64) << 16)
+            | ((self.trace_armed as u64) << 17)
+            | ((self.op as u64) << 24);
+        [
+            self.seq,
+            self.ts,
+            self.generation,
+            flags,
+            (self.subject as u64) | ((self.program as u64) << 32),
+            (self.ept_prog as u64) | ((self.pid as u64) << 32),
+            self.ept_pc,
+            self.hops as u64,
+            self.rule_key,
+            self.latency_ns,
+            self.aux,
+            self.aux2,
+            self.aux3,
+        ]
+    }
 
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
+    fn decode(w: &[u64; RECORD_WORDS]) -> DecisionEvent {
+        let flags = w[3];
+        let op_idx = ((flags >> 24) & 0xff) as usize;
+        DecisionEvent {
+            seq: w[0],
+            ts: w[1],
+            generation: w[2],
+            kind: EventKind::from_u8((flags & 0xf) as u8),
+            verdict: EventVerdict::from_u8(((flags >> 4) & 0xf) as u8),
+            vcache: VcacheOutcome::from_u8(((flags >> 8) & 0xf) as u8),
+            throttle: ThrottleOutcome::from_u8(((flags >> 12) & 0xf) as u8),
+            degraded: flags & (1 << 16) != 0,
+            trace_armed: flags & (1 << 17) != 0,
+            op: op_at(op_idx),
+            subject: (w[4] & 0xffff_ffff) as u32,
+            program: (w[4] >> 32) as u32,
+            ept_prog: (w[5] & 0xffff_ffff) as u32,
+            pid: (w[5] >> 32) as u32,
+            ept_pc: w[6],
+            hops: w[7] as u32,
+            rule_key: w[8],
+            latency_ns: w[9],
+            aux: w[10],
+            aux2: w[11],
+            aux3: w[12],
         }
     }
 }
 
-/// One MPSC ring: lock-free writers, a mutex-serialized (cold-path)
-/// drain cursor.
-struct EventShard {
-    /// Total records ever claimed in this shard (monotonic).
+/// A fixed-size record that packs into one ring slot.
+pub trait Record: Copy {
+    /// Packs the record into slot words.
+    fn encode(&self) -> [u64; RECORD_WORDS];
+    /// Unpacks a record [`Record::encode`] produced.
+    fn decode(words: &[u64; RECORD_WORDS]) -> Self;
+}
+
+/// One ring slot: a seqlock over an array of relaxed atomic words.
+///
+/// `seq == 0` means never written, `seq == pos + 1` means position
+/// `pos`'s record is published, [`BUSY`] means a writer is mid-flight.
+/// Outside `BUSY` the sequence only grows: a writer never overwrites a
+/// newer lap's record.
+struct Slot {
+    seq: AtomicU64,
+    words: [AtomicU64; RECORD_WORDS],
+}
+
+impl Slot {
+    /// Writes position `pos`'s record. Waits out a writer still
+    /// publishing an older lap into the slot; gives the record up (the
+    /// drain counts it dropped) when a newer lap already owns it.
+    fn write(&self, pos: u64, words: &[u64; RECORD_WORDS]) {
+        loop {
+            let cur = self.seq.load(Ordering::Relaxed);
+            if cur == BUSY {
+                std::thread::yield_now();
+                continue;
+            }
+            if cur > pos {
+                return;
+            }
+            if self
+                .seq
+                .compare_exchange_weak(cur, BUSY, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                break;
+            }
+        }
+        // The release fence orders the BUSY mark before the payload
+        // stores for any reader that observes the payload (fence-to-
+        // fence pairing with the drain side's acquire fence).
+        fence(Ordering::Release);
+        for (w, v) in self.words.iter().zip(words) {
+            w.store(*v, Ordering::Relaxed);
+        }
+        self.seq.store(pos + 1, Ordering::Release);
+    }
+
+    /// Position `pos`'s record: `Ok(Some(words))` if published,
+    /// `Ok(None)` if a later lap overwrote it, `Err(())` while its
+    /// writer has claimed the position but not yet published.
+    fn read(&self, pos: u64) -> Result<Option<[u64; RECORD_WORDS]>, ()> {
+        let seq = self.seq.load(Ordering::Acquire);
+        if seq == BUSY || seq <= pos {
+            return Err(());
+        }
+        let words = std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed));
+        // Pairs with the writer's release fence: if the payload loads
+        // saw any word of a newer write, the re-check below is
+        // guaranteed to see its BUSY mark (or newer seq).
+        fence(Ordering::Acquire);
+        Ok((seq == pos + 1 && self.seq.load(Ordering::Relaxed) == seq).then_some(words))
+    }
+}
+
+/// One bounded record stream: lock-free writers, a mutex-serialized
+/// (cold-path) drain cursor, and the always-on accounting. See the
+/// module docs for the protocol.
+pub struct RecordRing<R> {
+    capacity: usize,
+    /// Positions ever claimed — the `emitted` count.
     head: AtomicU64,
     /// Next position the drain side will look at.
     tail: Mutex<u64>,
-    slots: Box<[Slot]>,
+    /// Allocated by the first writer.
+    slots: OnceLock<Box<[Slot]>>,
+    drained: AtomicU64,
+    dropped: AtomicU64,
+    _record: PhantomData<fn() -> R>,
 }
 
-impl EventShard {
-    fn new() -> EventShard {
-        EventShard {
+impl<R: Record> RecordRing<R> {
+    /// An empty ring of `capacity` slots (minimum 1), allocated on the
+    /// first record.
+    pub(crate) fn new(capacity: usize) -> Self {
+        RecordRing {
+            capacity: capacity.max(1),
             head: AtomicU64::new(0),
             tail: Mutex::new(0),
-            slots: (0..EVENT_RING_CAP).map(|_| Slot::new()).collect(),
+            slots: OnceLock::new(),
+            drained: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            _record: PhantomData,
         }
     }
 
@@ -572,63 +549,210 @@ impl EventShard {
         self.tail.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Writes one record. Wait-free: one fetch-add claims the slot, a
-    /// swap marks it busy, and the payload is plain relaxed stores. A
-    /// writer that finds its slot busy (another writer lapped the ring
-    /// onto the same slot mid-publish) abandons the record — the drain
-    /// side will account it as dropped.
-    fn push(&self, ev: &DecisionEvent) {
-        let pos = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(pos as usize) % EVENT_RING_CAP];
-        if slot.seq.swap(BUSY, Ordering::Relaxed) == BUSY {
-            // A lap collision: the prior claimant is still publishing.
-            // Leave the slot to it; this record is lost (and will be
-            // counted dropped when the drain reaches `pos`).
+    /// Publishes `records` as one contiguous run of positions.
+    pub(crate) fn publish(&self, records: &[R]) {
+        if records.is_empty() {
             return;
         }
-        // The release fence orders the BUSY mark before the payload
-        // stores for any reader that observes the payload (fence-to-
-        // fence pairing with the drain side's acquire fence).
-        fence(Ordering::Release);
-        let words = ev.encode();
-        for (w, v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
+        let cap = self.capacity;
+        let slots = self.slots.get_or_init(|| {
+            let slot = |_| Slot {
+                seq: AtomicU64::new(0),
+                words: std::array::from_fn(|_| AtomicU64::new(0)),
+            };
+            (0..cap).map(slot).collect()
+        });
+        let first = self.head.fetch_add(records.len() as u64, Ordering::Relaxed);
+        for (pos, rec) in (first..).zip(records) {
+            slots[(pos % cap as u64) as usize].write(pos, &rec.encode());
         }
-        slot.seq.store(pos + 1, Ordering::Release);
     }
 
-    /// Drains every published record past the cursor into `out`,
-    /// returning the number of records lost since the previous drain
-    /// (overwritten by the ring lapping, abandoned by a lap-colliding
-    /// writer, or still mid-publish when the drain passed).
-    fn drain_into(&self, out: &mut Vec<DecisionEvent>) -> u64 {
+    /// Moves every published record past the cursor into `out`, oldest
+    /// first, and returns how many records this drain counted dropped
+    /// (overwritten before any drain reached them).
+    pub(crate) fn drain_into(&self, out: &mut Vec<R>) -> u64 {
         let mut tail = self.lock_tail();
         let head = self.head.load(Ordering::Acquire);
-        let lo = head.saturating_sub(EVENT_RING_CAP as u64).max(*tail);
-        let mut dropped = lo - *tail;
-        for pos in lo..head {
-            let slot = &self.slots[(pos as usize) % EVENT_RING_CAP];
-            if slot.seq.load(Ordering::Acquire) != pos + 1 {
-                dropped += 1;
-                continue;
+        let Some(slots) = self.slots.get() else {
+            return 0;
+        };
+        let cap = self.capacity as u64;
+        let lo = head.saturating_sub(cap).max(*tail);
+        let mut lost = lo - *tail;
+        let before = out.len();
+        let mut pos = lo;
+        while pos < head {
+            match slots[(pos % cap) as usize].read(pos) {
+                Ok(Some(words)) => out.push(R::decode(&words)),
+                Ok(None) => lost += 1,
+                Err(()) => break,
             }
-            let mut words = [0u64; EVENT_WORDS];
-            for (v, w) in words.iter_mut().zip(slot.words.iter()) {
-                *v = w.load(Ordering::Relaxed);
-            }
-            // Pairs with the writer's release fence: if the payload
-            // loads saw any word of a newer write, the re-check below
-            // is guaranteed to see its BUSY mark (or newer seq) and
-            // reject the slot.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != pos + 1 {
-                dropped += 1;
-                continue;
-            }
-            out.push(DecisionEvent::decode(&words));
+            pos += 1;
         }
-        *tail = head;
-        dropped
+        *tail = pos;
+        self.drained
+            .fetch_add((out.len() - before) as u64, Ordering::Relaxed);
+        self.dropped.fetch_add(lost, Ordering::Relaxed);
+        lost
+    }
+
+    /// The ring's capacity in records.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Records ever written (including later-overwritten ones).
+    pub fn emitted(&self) -> u64 {
+        self.head.load(Ordering::Relaxed)
+    }
+
+    /// Records handed to a drain.
+    pub fn drained(&self) -> u64 {
+        self.drained.load(Ordering::Relaxed)
+    }
+
+    /// Records a drain found overwritten before any drain reached them.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Records written but not yet drained or counted dropped, capped
+    /// at the capacity: what the ring holds for the next drain.
+    pub(crate) fn len(&self) -> usize {
+        let accounted = self.drained() + self.dropped();
+        self.emitted()
+            .saturating_sub(accounted)
+            .min(self.capacity as u64) as usize
+    }
+
+    /// `[emitted, drained, dropped]`, read so that `drained + dropped
+    /// <= emitted` holds even while writers and drains run.
+    pub(crate) fn accounting(&self) -> [u64; 3] {
+        let (drained, dropped) = (self.drained(), self.dropped());
+        [self.emitted(), drained, dropped]
+    }
+}
+
+/// One TRACE hop as the engine writes it: the numeric ids behind a
+/// [`TraceEvent`] (see there), which [`TraceHop::resolve`] renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub struct TraceHop {
+    pub invocation: u64,
+    pub elapsed_ns: u64,
+    /// The rule's chain name, interned at parse time.
+    pub chain: InternId,
+    pub rule: u32,
+    /// The rule's target kind: an index into the target keywords.
+    pub target: u8,
+    pub matched: bool,
+    pub degraded: bool,
+}
+
+impl Record for TraceHop {
+    fn encode(&self) -> [u64; RECORD_WORDS] {
+        let mut w = [0u64; RECORD_WORDS];
+        w[0] = self.invocation;
+        w[1] = self.elapsed_ns;
+        w[2] = u64::from(self.chain.0) | (u64::from(self.rule) << 32);
+        w[3] = u64::from(self.target)
+            | (u64::from(self.matched) << 8)
+            | (u64::from(self.degraded) << 9);
+        w
+    }
+
+    fn decode(w: &[u64; RECORD_WORDS]) -> Self {
+        TraceHop {
+            invocation: w[0],
+            elapsed_ns: w[1],
+            chain: InternId(w[2] as u32),
+            rule: (w[2] >> 32) as u32,
+            target: w[3] as u8,
+            matched: w[3] & (1 << 8) != 0,
+            degraded: w[3] & (1 << 9) != 0,
+        }
+    }
+}
+
+/// The operation packed as index `i`; `FILE_OPEN` for an unknown one.
+pub(crate) fn op_at(i: usize) -> LsmOperation {
+    LsmOperation::ALL
+        .get(i)
+        .copied()
+        .unwrap_or(LsmOperation::FileOpen)
+}
+
+/// `names`' string for `id`, or `""` for an id it never issued.
+pub(crate) fn name_of(names: &Interner, id: InternId) -> &str {
+    if id.index() < names.len() {
+        names.resolve(id)
+    } else {
+        ""
+    }
+}
+
+impl TraceHop {
+    /// Renders the hop against the interner its rule was parsed with.
+    pub fn resolve(&self, names: &Interner) -> TraceEvent {
+        TraceEvent {
+            chain: name_of(names, self.chain).to_owned(),
+            rule_index: self.rule as usize,
+            matched: self.matched,
+            target: TARGET_KINDS.get(usize::from(self.target)).map_or("", |k| k),
+            elapsed_ns: self.elapsed_ns,
+            degraded: self.degraded,
+            invocation: self.invocation,
+            gap: false,
+        }
+    }
+}
+
+/// One structured TRACE event: a rule traversed after a TRACE target
+/// fired in the same invocation (iptables' TRACE semantics), with its
+/// names resolved.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceEvent {
+    /// Chain the rule lives in.
+    pub chain: String,
+    /// Rule index within the chain.
+    pub rule_index: usize,
+    /// Whether the rule's matches all passed.
+    pub matched: bool,
+    /// The rule's target kind (`DROP`, `ACCEPT`, `TRACE`, …).
+    pub target: &'static str,
+    /// Nanoseconds since the TRACE target fired.
+    pub elapsed_ns: u64,
+    /// Whether a failed context fetch had already degraded the
+    /// invocation when this rule was traversed.
+    pub degraded: bool,
+    /// The invocation's [`DecisionEvent::seq`], or 0 when sampling did
+    /// not select it: joins TRACE hops to their decision event.
+    pub invocation: u64,
+    /// Overflow gap marker: `true` on the first event of a drain that
+    /// found older hops overwritten. Stamped by the drain.
+    pub gap: bool,
+}
+
+impl TraceEvent {
+    /// Renders the event as a single-line JSON object.
+    pub fn to_json(&self) -> String {
+        let mut s = String::with_capacity(96);
+        s.push_str("{\"chain\":\"");
+        esc(&mut s, &self.chain);
+        let _ = write!(
+            s,
+            "\",\"rule\":{},\"matched\":{},\"target\":\"{}\",\"elapsed_ns\":{},\"degraded\":{},\
+             \"invocation\":{},\"gap\":{}}}",
+            self.rule_index,
+            self.matched,
+            self.target,
+            self.elapsed_ns,
+            self.degraded,
+            self.invocation,
+            self.gap
+        );
+        s
     }
 }
 
@@ -651,19 +775,16 @@ impl Gate {
     }
 }
 
-/// The event plane: sampling state, the shard rings, and the always-on
-/// accounting counters. One per [`crate::ProcessFirewall`].
+/// The decision-event plane: sampling state and the shard rings. One
+/// per [`crate::ProcessFirewall`].
 pub struct EventPlane {
-    shards: Box<[EventShard]>,
+    shards: Box<[RecordRing<DecisionEvent>]>,
     /// Packed [`SamplingMode`].
     mode: AtomicU64,
     /// Ticket counter driving `1/N` sampling.
     ticket: AtomicU64,
     /// Next event id.
     seq: AtomicU64,
-    emitted: AtomicU64,
-    dropped: AtomicU64,
-    drained: AtomicU64,
 }
 
 impl Default for EventPlane {
@@ -676,13 +797,12 @@ impl EventPlane {
     /// Creates a plane with sampling off.
     pub fn new() -> EventPlane {
         EventPlane {
-            shards: (0..EVENT_SHARDS).map(|_| EventShard::new()).collect(),
+            shards: (0..EVENT_SHARDS)
+                .map(|_| RecordRing::new(EVENT_RING_CAP))
+                .collect(),
             mode: AtomicU64::new(SamplingMode::Off.pack()),
             ticket: AtomicU64::new(0),
             seq: AtomicU64::new(1),
-            emitted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
         }
     }
 
@@ -731,10 +851,9 @@ impl EventPlane {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Writes one event into `shard`'s ring. Wait-free; never blocks.
+    /// Writes one event into `shard`'s ring.
     pub(crate) fn emit(&self, shard: usize, ev: &DecisionEvent) {
-        self.emitted.fetch_add(1, Ordering::Relaxed);
-        self.shards[shard % EVENT_SHARDS].push(ev);
+        self.shards[shard % EVENT_SHARDS].publish(std::slice::from_ref(ev));
     }
 
     /// Emits a control-plane self-observability event (reload begin /
@@ -771,34 +890,40 @@ impl EventPlane {
     /// the race for is counted dropped, never returned torn.
     pub fn drain(&self) -> Vec<DecisionEvent> {
         let mut out = Vec::new();
-        let mut dropped = 0;
         for shard in self.shards.iter() {
-            dropped += shard.drain_into(&mut out);
+            shard.drain_into(&mut out);
         }
-        if dropped > 0 {
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
-        self.drained.fetch_add(out.len() as u64, Ordering::Relaxed);
         out.sort_unstable_by_key(|e| e.seq);
         out
     }
 
+    /// `[emitted, drained, dropped]` summed over the shards (see
+    /// [`RecordRing::accounting`]).
+    pub(crate) fn accounting(&self) -> [u64; 3] {
+        let mut sum = [0u64; 3];
+        for shard in self.shards.iter() {
+            for (s, v) in sum.iter_mut().zip(shard.accounting()) {
+                *s += v;
+            }
+        }
+        sum
+    }
+
     /// Total events written (sampled in) since construction.
     pub fn emitted(&self) -> u64 {
-        self.emitted.load(Ordering::Relaxed)
+        self.shards.iter().map(RecordRing::emitted).sum()
     }
 
     /// Total events returned by [`EventPlane::drain`].
     pub fn drained(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
+        self.shards.iter().map(RecordRing::drained).sum()
     }
 
-    /// Total events lost: overwritten before a drain reached them,
-    /// abandoned on a lap collision, or mid-publish when a drain
-    /// passed. Always-on; after a quiescent final drain,
-    /// `emitted() == drained() + dropped()` holds exactly.
+    /// Total events a drain found overwritten before any drain reached
+    /// them. After a quiescent final drain, `emitted() == drained() +
+    /// dropped()` holds exactly.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.shards.iter().map(RecordRing::dropped).sum()
     }
 }
 
@@ -822,6 +947,14 @@ pub(crate) fn thread_shard() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<R: Record> RecordRing<R> {
+        /// Takes the drain cursor's lock without poison recovery, so a
+        /// test can poison it by panicking while holding it.
+        pub(crate) fn lock_raw(&self) -> MutexGuard<'_, u64> {
+            self.tail.lock().unwrap()
+        }
+    }
 
     fn ev(seq: u64) -> DecisionEvent {
         let mut e = DecisionEvent::empty();
@@ -847,6 +980,18 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips() {
+        let z = DecisionEvent::empty();
+        assert_eq!(z.encode(), [0; RECORD_WORDS], "the placeholder is all zero");
+        assert_eq!(
+            (z.kind, z.verdict, z.vcache, z.throttle, z.op),
+            (
+                EventKind::Decision,
+                EventVerdict::None,
+                VcacheOutcome::None,
+                ThrottleOutcome::None,
+                LsmOperation::FileOpen
+            )
+        );
         for op in LsmOperation::ALL {
             let mut e = ev(42);
             e.op = op;
@@ -1030,6 +1175,121 @@ mod tests {
         assert_eq!(drained[0].aux2, 6);
         assert_eq!(drained[0].aux3, 800);
         assert!(drained[0].to_json().contains("\"compile_ns\":800"));
+    }
+
+    #[test]
+    fn trace_event_json() {
+        let e = TraceEvent {
+            chain: "side\"chain".into(),
+            rule_index: 3,
+            matched: false,
+            target: "ACCEPT",
+            elapsed_ns: 42,
+            degraded: true,
+            invocation: 9001,
+            gap: true,
+        };
+        assert_eq!(
+            e.to_json(),
+            "{\"chain\":\"side\\\"chain\",\"rule\":3,\"matched\":false,\
+             \"target\":\"ACCEPT\",\"elapsed_ns\":42,\"degraded\":true,\
+             \"invocation\":9001,\"gap\":true}"
+        );
+    }
+
+    #[test]
+    fn trace_hop_encoding_round_trips_and_resolves() {
+        let mut names = Interner::new();
+        let chain = names.intern("side");
+        let hop = TraceHop {
+            invocation: 9001,
+            elapsed_ns: 42,
+            chain,
+            rule: 3,
+            target: 1,
+            matched: false,
+            degraded: true,
+        };
+        assert_eq!(TraceHop::decode(&hop.encode()), hop);
+        let e = hop.resolve(&names);
+        assert_eq!(
+            (e.chain.as_str(), e.rule_index, e.target),
+            ("side", 3, "ACCEPT")
+        );
+        assert!(!e.matched && e.degraded && !e.gap);
+        assert_eq!(e.invocation, 9001);
+        // An id the interner never issued renders empty, never panics.
+        let stray = TraceHop {
+            chain: InternId(77),
+            target: 200,
+            ..hop
+        };
+        let e = stray.resolve(&names);
+        assert_eq!((e.chain.as_str(), e.target), ("", ""));
+    }
+
+    #[test]
+    fn rings_allocate_on_first_record() {
+        let ring: RecordRing<DecisionEvent> = RecordRing::new(16);
+        assert!(ring.slots.get().is_none());
+        assert_eq!(ring.drain_into(&mut Vec::new()), 0);
+        ring.publish(&[ev(1)]);
+        assert_eq!(ring.slots.get().map(|s| s.len()), Some(16));
+    }
+
+    /// A record whose writer has claimed its position but not yet
+    /// published it ends the drain there; it and everything after it
+    /// come back on the next drain instead of being counted lost.
+    #[test]
+    fn pending_record_comes_back_on_the_next_drain() {
+        let ring: RecordRing<DecisionEvent> = RecordRing::new(8);
+        ring.publish(&[ev(1)]);
+        // Claim position 1 by hand, as a writer preempted mid-publish.
+        let pos = ring.head.fetch_add(1, Ordering::Relaxed);
+        ring.publish(&[ev(3)]);
+        let mut out = Vec::new();
+        assert_eq!(ring.drain_into(&mut out), 0);
+        assert_eq!(out.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(ring.accounting(), [3, 1, 0]);
+        // The writer finishes; the next drain returns both records.
+        let slots = ring.slots.get().unwrap();
+        slots[pos as usize].write(pos, &ev(2).encode());
+        out.clear();
+        assert_eq!(ring.drain_into(&mut out), 0);
+        assert_eq!(out.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(ring.accounting(), [3, 3, 0]);
+    }
+
+    /// Eight writers publishing fewer records than the ring holds, with
+    /// drains racing them, lose nothing: a drain never counts a record
+    /// that is still being published as dropped.
+    #[test]
+    fn racing_drains_lose_nothing_below_capacity() {
+        let ring: RecordRing<DecisionEvent> = RecordRing::new(LOG_RING_CAP);
+        let per = (LOG_RING_CAP / 8 - 1) as u64;
+        let mut seen = Vec::new();
+        std::thread::scope(|s| {
+            for w in 0..8u64 {
+                let ring = &ring;
+                s.spawn(move || {
+                    for i in 0..per {
+                        ring.publish(&[ev(w * per + i + 1)]);
+                    }
+                });
+            }
+            while ring.emitted() < 8 * per {
+                ring.drain_into(&mut seen);
+                std::thread::yield_now();
+            }
+        });
+        ring.drain_into(&mut seen);
+        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.accounting(), [8 * per, 8 * per, 0]);
+        seen.sort_unstable_by_key(|e| e.seq);
+        assert!(
+            seen.iter().map(|e| e.seq).eq(1..=8 * per),
+            "every record, once"
+        );
     }
 
     #[test]

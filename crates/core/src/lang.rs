@@ -325,19 +325,19 @@ pub fn parse_rule(
             }
             "-j" => {
                 let tname = cur.need("target after -j")?;
-                target = Some(parse_target(&tname, &mut cur)?);
+                target = Some(parse_target(&tname, &mut cur, programs)?);
             }
             other => return Err(err(format!("unexpected token `{other}`"))),
         }
     }
 
     let target = target.ok_or_else(|| err("rule has no target (-j)"))?;
+    let op = op.unwrap_or(RuleOp::Append(ChainName::Input));
     let mut rule = Rule::new(def, matches, target, line.to_owned());
     rule.ctx_policy = ctx_policy;
-    Ok(ParsedRule {
-        op: op.unwrap_or(RuleOp::Append(ChainName::Input)),
-        rule,
-    })
+    let (RuleOp::InsertHead(chain) | RuleOp::Append(chain) | RuleOp::Delete(chain)) = &op;
+    rule.chain = programs.intern(chain.as_str());
+    Ok(ParsedRule { op, rule })
 }
 
 fn parse_match_module(
@@ -530,7 +530,7 @@ fn parse_match_module(
     }
 }
 
-fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
+fn parse_target(name: &str, cur: &mut Cursor, programs: &mut Interner) -> PfResult<Target> {
     match name {
         "DROP" => Ok(Target::Drop),
         "ACCEPT" => Ok(Target::Accept),
@@ -547,7 +547,9 @@ fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
                     _ => break,
                 }
             }
-            Ok(Target::Log { tag })
+            Ok(Target::Log {
+                tag: programs.intern(&tag),
+            })
         }
         "STATE" => {
             let mut set = false;
@@ -792,6 +794,7 @@ pub fn render_rule(rule: &Rule, chain: &ChainName, mac: &MacPolicy, programs: &I
             let _ = write!(out, " -j STATE --unset --key 0x{key:x}");
         }
         Target::Log { tag } => {
+            let tag = programs.resolve(*tag);
             out.push_str(" -j LOG");
             if !tag.is_empty() {
                 if tag.chars().any(char::is_whitespace) {

@@ -41,18 +41,16 @@
 //!   the input chain indexed on the entrypoint (EPTSPC) or on (op,
 //!   label, entrypoint) (RULESETC) at snapshot compile time, walked as
 //!   one order-preserving k-way merge;
-//! * [`log`] is the LOG target's JSON record, consumed by `pf-rulegen`;
+//! * [`log`] is the LOG target's record and its JSON rendering,
+//!   consumed by `pf-rulegen`;
 //! * [`metrics`] is the observability registry: one descriptor table
 //!   per metric family (always-on counters, per-rule/per-operation/
 //!   per-field detail, latency histograms) drives storage and the
-//!   Prometheus/JSON exporters (see `docs/OBSERVABILITY.md`); it also
-//!   holds the TRACE event ring — all thread-safe, with sharded
-//!   latency histograms merged on export;
-//! * [`events`] is the decision-event tracing plane: per-shard
-//!   lock-free rings of compact [`events::DecisionEvent`]s (verdict,
-//!   generation, vcache/throttle outcome, latency) sampled at a
-//!   runtime-settable rate, drained in emission order by `pftop` and
-//!   JSONL exports;
+//!   Prometheus/JSON exporters (see `docs/OBSERVABILITY.md`) — all
+//!   thread-safe, with sharded latency histograms merged on export;
+//! * [`events`] is the record plane: bounded lock-free rings of
+//!   fixed-size records — sampled decision events, LOG records and
+//!   TRACE hops — resolved to names only at drain;
 //! * [`snapshot`] holds the immutable [`snapshot::RulesetSnapshot`]
 //!   and the [`snapshot::SharedRuleset`] swap cell that make rule
 //!   loads atomic and evaluation lock-free (see `docs/CONCURRENCY.md`);
@@ -105,13 +103,13 @@ pub use context::CtxField;
 pub use engine::{EvalDecision, ProcessFirewall, ThrottleOccupancy};
 pub use env::{CtxError, EvalEnv, Fetched, ObjectInfo, SignalInfo};
 pub use events::{
-    DecisionEvent, EventKind, EventPlane, EventVerdict, SamplingMode, ThrottleOutcome,
-    VcacheOutcome,
+    DecisionEvent, EventKind, EventPlane, EventVerdict, Record, RecordRing, SamplingMode,
+    ThrottleOutcome, TraceEvent, TraceHop, VcacheOutcome, LOG_RING_CAP, TRACE_RING_CAP,
 };
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultyEnv};
 pub use lang::render_rule;
-pub use log::{LogDrain, LogEntry, LogSink, DEFAULT_LOG_CAPACITY};
-pub use metrics::{ChainSnapshot, Histogram, MetricDesc, Metrics, ShardedHistogram, TraceEvent};
+pub use log::{LogDrain, LogEntry, LogRecord, LogTag};
+pub use metrics::{ChainSnapshot, Histogram, MetricDesc, Metrics, ShardedHistogram};
 pub use ratelimit::{ExceedPolicy, PerKey, ThrottleCell, ThrottleSlotState};
 pub use render::render_rules;
 pub use rule::{CtxPolicy, MatchModule, Rule, Target};

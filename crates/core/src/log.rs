@@ -1,25 +1,21 @@
-//! The LOG target's JSON records and the bounded shared log sink.
+//! The LOG target's records and their JSON rendering.
 //!
 //! The paper's LOG target "logs a variety of information about the current
 //! resource access in JSON format" (Section 5.2); OS distributors feed
-//! these records to the rule-generation scripts of Section 6.3. The JSON
-//! codec here is hand-rolled (flat objects, string/number/bool values) to
-//! keep the dependency set at the sanctioned crates.
-//!
-//! [`LogSink`] is the firewall-wide buffer those records land in. It is
-//! **bounded**: once the ring is at capacity the oldest record is
-//! overwritten (and counted), so a fleet of tasks emitting faster than
-//! the collector drains can never grow the firewall's memory without
-//! limit. The accounting discipline mirrors the decision-event plane
-//! (`crate::events`): `emitted() == drained() + dropped()` holds exactly
-//! once the sink is quiescent and fully drained.
+//! these records to the rule-generation scripts of Section 6.3. The engine
+//! writes [`LogRecord`]s of numeric ids into the LOG ring (`crate::events`);
+//! drains resolve them into [`LogEntry`] values, whose JSON codec is
+//! hand-rolled (flat objects, string/number/bool values).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use pf_types::{LsmOperation, PfError, PfResult};
+use pf_mac::MacPolicy;
+use pf_types::{
+    DeviceId, InodeNum, InternId, Interner, LsmOperation, PfError, PfResult, ProgramId, ResourceId,
+    SecId, SignalNum,
+};
+
+use crate::events::{name_of, op_at, Record, RECORD_WORDS};
 
 /// One resource-access log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,204 +152,175 @@ impl LogEntry {
     }
 }
 
-/// Default [`LogSink`] capacity: roomy enough that every existing
-/// workload drains losslessly, small enough that a runaway LOG flood
-/// tops out at a few tens of megabytes instead of eating the host.
-pub const DEFAULT_LOG_CAPACITY: usize = 65_536;
+/// A LOG record's tag: a `-j LOG --tag T` rule's `T`, or one of the
+/// engine's fixed tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogTag {
+    /// A LOG rule's tag, interned at parse time.
+    Rule(InternId),
+    /// A fixed engine tag: an index into [`LogTag::FIXED`].
+    Fixed(u8),
+}
 
-/// One gap-marked drain of the [`LogSink`].
+impl LogTag {
+    /// The fixed tags: a DROP rule denied, a failed context fetch was
+    /// decided by `--ctx-missing`, a jump hit the depth limit, a
+    /// RATELIMIT bucket or a QUOTA window rejected.
+    pub const FIXED: [&'static str; 5] = ["DROP", "CTXFAIL", "JUMPDEPTH", "RATELIMIT", "QUOTA"];
+    pub(crate) const DROP: LogTag = LogTag::Fixed(0);
+    pub(crate) const CTXFAIL: LogTag = LogTag::Fixed(1);
+    pub(crate) const JUMPDEPTH: LogTag = LogTag::Fixed(2);
+    pub(crate) const RATELIMIT: LogTag = LogTag::Fixed(3);
+    pub(crate) const QUOTA: LogTag = LogTag::Fixed(4);
+}
+
+/// One LOG record as the engine writes it: the numeric ids behind a
+/// [`LogEntry`], which [`LogRecord::resolve`] renders at drain time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogRecord {
+    /// Logical timestamp.
+    pub ts: u64,
+    /// Calling process.
+    pub pid: u32,
+    /// Subject MAC label.
+    pub subject: SecId,
+    /// Main program binary.
+    pub program: ProgramId,
+    /// Entrypoint binary and relative program counter, if unwound.
+    pub ept: Option<(ProgramId, u64)>,
+    /// The mediated operation.
+    pub op: LsmOperation,
+    /// Object MAC label and resource, when the operation has an object.
+    pub object: Option<(SecId, ResourceId)>,
+    /// Adversary-writable (low integrity)?
+    pub adv_write: bool,
+    /// Adversary-readable (low secrecy)?
+    pub adv_read: bool,
+    /// The tag.
+    pub tag: LogTag,
+    /// Whether the invocation was denied (renders `"DENY"`).
+    pub deny: bool,
+    /// The writing rule's chain name, interned at parse time.
+    pub chain: InternId,
+    /// The writing rule's index within its chain.
+    pub rule: u32,
+    /// The invocation's decision-event id (0 when not sampled).
+    pub invocation: u64,
+}
+
+impl Record for LogRecord {
+    fn encode(&self) -> [u64; RECORD_WORDS] {
+        let (ept_prog, ept_pc) = self.ept.map_or((0, 0), |(p, pc)| (p.0, pc));
+        let (object, res_kind, res_a, res_b) = match self.object {
+            None => (0, 0u64, 0u64, 0u64),
+            Some((sid, ResourceId::File { dev, ino })) => (sid.0, 1, ino.0, u64::from(dev.0)),
+            Some((sid, ResourceId::Signal(s))) => (sid.0, 2, u64::from(s.0), 0),
+        };
+        let (tag_fixed, tag) = match self.tag {
+            LogTag::Rule(id) => (0u64, id.0),
+            LogTag::Fixed(i) => (1, u32::from(i)),
+        };
+        let flags = u64::from(self.ept.is_some())
+            | (res_kind << 1)
+            | (u64::from(self.adv_write) << 3)
+            | (u64::from(self.adv_read) << 4)
+            | (u64::from(self.deny) << 5)
+            | (tag_fixed << 6)
+            | ((self.op as u64) << 8);
+        let mut w = [0u64; RECORD_WORDS];
+        w[0] = self.ts;
+        w[1] = self.invocation;
+        w[2] = u64::from(self.pid) | (u64::from(self.subject.0) << 32);
+        w[3] = u64::from(self.program.0) | (u64::from(ept_prog) << 32);
+        w[4] = ept_pc;
+        w[5] = u64::from(object) | (u64::from(tag) << 32);
+        w[6] = res_a;
+        w[7] = res_b | (u64::from(self.chain.0) << 32);
+        w[8] = u64::from(self.rule) | (flags << 32);
+        w
+    }
+
+    fn decode(w: &[u64; RECORD_WORDS]) -> Self {
+        let flags = w[8] >> 32;
+        let lo = |x: u64| InternId(x as u32);
+        let hi = |x: u64| InternId((x >> 32) as u32);
+        let resource = match (flags >> 1) & 3 {
+            1 => Some(ResourceId::File {
+                dev: DeviceId(w[7] as u32),
+                ino: InodeNum(w[6]),
+            }),
+            2 => Some(ResourceId::Signal(SignalNum(w[6] as u8))),
+            _ => None,
+        };
+        let tag = (w[5] >> 32) as u32;
+        LogRecord {
+            ts: w[0],
+            invocation: w[1],
+            pid: w[2] as u32,
+            subject: hi(w[2]),
+            program: lo(w[3]),
+            ept: (flags & 1 != 0).then(|| (hi(w[3]), w[4])),
+            object: resource.map(|r| (lo(w[5]), r)),
+            adv_write: flags & (1 << 3) != 0,
+            adv_read: flags & (1 << 4) != 0,
+            deny: flags & (1 << 5) != 0,
+            tag: if flags & (1 << 6) != 0 {
+                LogTag::Fixed(tag as u8)
+            } else {
+                LogTag::Rule(InternId(tag))
+            },
+            op: op_at(((flags >> 8) & 0xff) as usize),
+            chain: hi(w[7]),
+            rule: w[8] as u32,
+        }
+    }
+}
+
+impl LogRecord {
+    /// Renders the record against the MAC policy and interner the rules
+    /// were parsed with. Both only grow, so a record drained after any
+    /// number of reloads renders the names it was written with.
+    pub fn resolve(&self, mac: &MacPolicy, names: &Interner) -> LogEntry {
+        LogEntry {
+            ts: self.ts,
+            pid: self.pid,
+            subject: mac.label_name(self.subject).to_owned(),
+            program: name_of(names, self.program).to_owned(),
+            ept_prog: self
+                .ept
+                .map(|(p, _)| name_of(names, p).to_owned())
+                .unwrap_or_default(),
+            ept_pc: self.ept.map_or(0, |(_, pc)| pc),
+            op: self.op,
+            object: self
+                .object
+                .map(|(sid, _)| mac.label_name(sid).to_owned())
+                .unwrap_or_default(),
+            resource: self.object.map(|(_, r)| r.to_string()).unwrap_or_default(),
+            adv_write: self.adv_write,
+            adv_read: self.adv_read,
+            tag: match self.tag {
+                LogTag::Rule(id) => name_of(names, id).to_owned(),
+                LogTag::Fixed(i) => LogTag::FIXED
+                    .get(usize::from(i))
+                    .map_or("", |t| t)
+                    .to_owned(),
+            },
+            verdict: if self.deny { "DENY" } else { "ALLOW" }.to_owned(),
+        }
+    }
+}
+
+/// One gap-marked drain of the LOG ring.
 #[derive(Debug, Default)]
 pub struct LogDrain {
     /// The drained records, oldest first.
-    pub entries: Vec<LogEntry>,
-    /// Overflow gap marker, same discipline as the TRACE ring: `true`
-    /// when one or more records were overwritten since the previous
-    /// drain, i.e. "records are missing immediately before the first
-    /// entry here". Stamped by the reader, never by writers.
+    pub entries: Vec<LogRecord>,
+    /// Overflow gap marker: `true` when this drain found records
+    /// overwritten, i.e. some are missing before the first entry.
     pub gap: bool,
-    /// How many records were overwritten since the previous drain.
+    /// How many records this drain found overwritten.
     pub dropped_since_last: u64,
-}
-
-/// The firewall-wide LOG buffer: a bounded overwrite-oldest ring.
-///
-/// Writers append whole invocations' worth of records under **one**
-/// lock acquisition ([`LogSink::append`]); when the ring is full the
-/// oldest records are overwritten and counted in [`LogSink::dropped`].
-/// All three counters are always on — a saturated collector is an
-/// operational signal, not profiling detail — and are updated under the
-/// ring lock, so `emitted == drained + dropped + len` is exact at every
-/// quiescent point, not merely eventually.
-#[derive(Debug)]
-pub struct LogSink {
-    ring: Mutex<VecDeque<LogEntry>>,
-    capacity: AtomicUsize,
-    emitted: AtomicU64,
-    drained: AtomicU64,
-    dropped: AtomicU64,
-    /// The `dropped` total the last drain observed; the delta since
-    /// then decides whether the next drain reports a gap.
-    drop_mark: AtomicU64,
-}
-
-impl Default for LogSink {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_LOG_CAPACITY)
-    }
-}
-
-impl LogSink {
-    /// Creates a sink bounded at `capacity` records (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        LogSink {
-            ring: Mutex::new(VecDeque::new()),
-            capacity: AtomicUsize::new(capacity.max(1)),
-            emitted: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            drop_mark: AtomicU64::new(0),
-        }
-    }
-
-    /// Locks the ring, recovering from poisoning: pushes and drains are
-    /// whole-record operations, so contents left by a panicked writer
-    /// are still structurally consistent.
-    fn lock(&self) -> MutexGuard<'_, VecDeque<LogEntry>> {
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Rebounds the sink to `capacity` records (minimum 1). Shrinking
-    /// below the current occupancy drops the oldest records, counted
-    /// like any other overwrite.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        let mut ring = self.lock();
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut overwritten = 0u64;
-        while ring.len() > capacity {
-            ring.pop_front();
-            overwritten += 1;
-        }
-        if overwritten > 0 {
-            self.dropped.fetch_add(overwritten, Ordering::Relaxed);
-        }
-    }
-
-    /// Appends one record, overwriting the oldest when full.
-    pub fn push(&self, entry: LogEntry) {
-        let cap = self.capacity();
-        let mut ring = self.lock();
-        if ring.len() >= cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(entry);
-        self.emitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Appends a whole batch (one invocation's scratch) under a single
-    /// lock acquisition, draining `batch` in place — the batch keeps its
-    /// allocation for reuse. Oldest records are overwritten when the
-    /// batch does not fit.
-    pub fn append(&self, batch: &mut Vec<LogEntry>) {
-        if batch.is_empty() {
-            return;
-        }
-        let cap = self.capacity();
-        let n = batch.len() as u64;
-        let mut ring = self.lock();
-        let mut overwritten = 0u64;
-        for entry in batch.drain(..) {
-            if ring.len() >= cap {
-                ring.pop_front();
-                overwritten += 1;
-            }
-            ring.push_back(entry);
-        }
-        if overwritten > 0 {
-            self.dropped.fetch_add(overwritten, Ordering::Relaxed);
-        }
-        self.emitted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Drains every buffered record, oldest first (no gap marking; see
-    /// [`LogSink::drain`] for the marked flavour).
-    pub fn take(&self) -> Vec<LogEntry> {
-        self.drain().entries
-    }
-
-    /// Drains every buffered record and reports whether records were
-    /// overwritten since the previous drain (the TRACE-ring gap
-    /// discipline: the mark is swapped under the ring lock, so
-    /// concurrent drains never double-report a gap).
-    pub fn drain(&self) -> LogDrain {
-        let mut ring = self.lock();
-        // Swap in an empty deque of the same capacity: `mem::take`
-        // would reset it to zero and make writers re-pay the doubling
-        // growth after every drain.
-        let fresh = VecDeque::with_capacity(ring.capacity());
-        let entries: Vec<LogEntry> = std::mem::replace(&mut *ring, fresh).into();
-        self.drained
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let total = self.dropped.load(Ordering::Relaxed);
-        let mark = self.drop_mark.swap(total, Ordering::Relaxed);
-        LogDrain {
-            entries,
-            gap: total > mark,
-            dropped_since_last: total - mark,
-        }
-    }
-
-    /// `[emitted, drained, dropped, len]`, read together under the ring
-    /// lock, so `emitted == drained + dropped + len` holds exactly even
-    /// while writers run.
-    pub(crate) fn accounting(&self) -> [u64; 4] {
-        let ring = self.lock();
-        [
-            self.emitted(),
-            self.drained(),
-            self.dropped(),
-            ring.len() as u64,
-        ]
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the sink is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Records ever appended (including later-overwritten ones).
-    pub fn emitted(&self) -> u64 {
-        self.emitted.load(Ordering::Relaxed)
-    }
-
-    /// Records handed to a drainer.
-    pub fn drained(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
-    }
-
-    /// Records overwritten before any drainer saw them.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Test hook: takes the ring lock without poison recovery, so a
-    /// test can poison it by panicking while holding the guard.
-    #[cfg(test)]
-    pub(crate) fn lock_raw(&self) -> MutexGuard<'_, VecDeque<LogEntry>> {
-        #[allow(clippy::unwrap_used)]
-        self.ring.lock().unwrap()
-    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -412,7 +379,11 @@ fn parse_flat_object(json: &str) -> PfResult<Vec<(String, JsonVal)>> {
                         match bytes.get(i) {
                             Some('n') => v.push('\n'),
                             Some('u') => {
-                                let hex: String = bytes[i + 1..i + 5].iter().collect();
+                                let hex: String = bytes
+                                    .get(i + 1..i + 5)
+                                    .ok_or_else(|| e("truncated \\u"))?
+                                    .iter()
+                                    .collect();
                                 let cp = u32::from_str_radix(&hex, 16).map_err(|_| e("bad \\u"))?;
                                 v.push(char::from_u32(cp).ok_or_else(|| e("bad codepoint"))?);
                                 i += 4;
@@ -428,18 +399,25 @@ fn parse_flat_object(json: &str) -> PfResult<Vec<(String, JsonVal)>> {
                 i += 1;
                 JsonVal::Str(v)
             }
-            Some('t') => {
-                i += 4;
-                JsonVal::Bool(true)
-            }
-            Some('f') => {
-                i += 5;
-                JsonVal::Bool(false)
+            Some('t') | Some('f') => {
+                let (word, val) = if bytes[i] == 't' {
+                    ("true", true)
+                } else {
+                    ("false", false)
+                };
+                if !bytes[i..].iter().copied().take(word.len()).eq(word.chars()) {
+                    return Err(e("unexpected value"));
+                }
+                i += word.len();
+                JsonVal::Bool(val)
             }
             Some(c) if c.is_ascii_digit() => {
                 let mut v = 0u64;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    v = v * 10 + bytes[i].to_digit(10).unwrap() as u64;
+                while let Some(d) = bytes.get(i).and_then(|c| c.to_digit(10)) {
+                    v = v
+                        .checked_mul(10)
+                        .and_then(|v| v.checked_add(u64::from(d)))
+                        .ok_or_else(|| e("number out of range"))?;
                     i += 1;
                 }
                 JsonVal::Num(v)
@@ -461,6 +439,7 @@ fn parse_flat_object(json: &str) -> PfResult<Vec<(String, JsonVal)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::RecordRing;
 
     fn entry() -> LogEntry {
         LogEntry {
@@ -537,79 +516,158 @@ mod tests {
         assert!(LogEntry::parse_json("{\"ts\":1}").is_err());
     }
 
-    fn stamped(ts: u64) -> LogEntry {
-        let mut e = entry();
-        e.ts = ts;
-        e
+    /// Regression inputs from distributor files that used to panic (a
+    /// truncated `\u` escape, an overflowing number) or parse a
+    /// non-literal as a boolean.
+    #[test]
+    fn malformed_values_are_errors_not_panics() {
+        for bad in [
+            r#"{"a":"\u"}"#,
+            r#"{"ts":99999999999999999999999}"#,
+            r#"{"b":tXYZ}"#,
+        ] {
+            assert!(
+                matches!(parse_flat_object(bad), Err(PfError::RuleError(_))),
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            parse_flat_object(r#"{"a":true,"b":false,"n":18446744073709551615}"#).unwrap(),
+            vec![
+                ("a".to_owned(), JsonVal::Bool(true)),
+                ("b".to_owned(), JsonVal::Bool(false)),
+                ("n".to_owned(), JsonVal::Num(u64::MAX)),
+            ]
+        );
+    }
+
+    fn stamped(ts: u64) -> LogRecord {
+        LogRecord {
+            ts,
+            pid: 7,
+            subject: InternId(1),
+            program: InternId(2),
+            ept: Some((InternId(3), 0x34f05)),
+            op: LsmOperation::FileOpen,
+            object: Some((
+                InternId(4),
+                ResourceId::File {
+                    dev: DeviceId(1),
+                    ino: InodeNum(99),
+                },
+            )),
+            adv_write: true,
+            adv_read: false,
+            tag: LogTag::Rule(InternId(5)),
+            deny: false,
+            chain: InternId(6),
+            rule: 3,
+            invocation: 0,
+        }
+    }
+
+    #[test]
+    fn record_encoding_round_trips() {
+        let mut r = stamped(42);
+        assert_eq!(LogRecord::decode(&r.encode()), r);
+        r.ept = None;
+        r.object = Some((InternId(9), ResourceId::Signal(SignalNum(15))));
+        r.tag = LogTag::JUMPDEPTH;
+        r.deny = true;
+        r.adv_read = true;
+        r.invocation = u64::MAX;
+        for op in LsmOperation::ALL {
+            r.op = op;
+            assert_eq!(LogRecord::decode(&r.encode()), r, "{op:?}");
+        }
+        r.object = None;
+        assert_eq!(LogRecord::decode(&r.encode()), r);
+    }
+
+    #[test]
+    fn records_resolve_to_the_entry_they_describe() {
+        let mut mac = MacPolicy::new();
+        let subject = mac.intern_label("user_t");
+        let object = mac.intern_label("tmp_t");
+        let mut names = Interner::new();
+        let program = names.intern("/usr/bin/python2.7");
+        let tag = names.intern("trace");
+        let mut r = stamped(42);
+        r.subject = subject;
+        r.program = program;
+        r.ept = Some((program, 0x34f05));
+        r.object = Some((
+            object,
+            ResourceId::File {
+                dev: DeviceId(1),
+                ino: InodeNum(99),
+            },
+        ));
+        r.tag = LogTag::Rule(tag);
+        assert_eq!(r.resolve(&mac, &names), entry());
+        r.deny = true;
+        r.tag = LogTag::DROP;
+        r.ept = None;
+        r.object = None;
+        let e = r.resolve(&mac, &names);
+        assert_eq!((e.verdict.as_str(), e.tag.as_str()), ("DENY", "DROP"));
+        assert_eq!((e.ept_prog.as_str(), e.ept_pc), ("", 0));
+        assert_eq!((e.object.as_str(), e.resource.as_str()), ("", ""));
+    }
+
+    fn ring(capacity: usize) -> RecordRing<LogRecord> {
+        RecordRing::new(capacity)
+    }
+
+    fn drain(sink: &RecordRing<LogRecord>) -> (Vec<u64>, u64) {
+        let mut out = Vec::new();
+        let dropped = sink.drain_into(&mut out);
+        (out.iter().map(|r| r.ts).collect(), dropped)
     }
 
     #[test]
     fn sink_overwrites_oldest_and_accounts_exactly() {
-        let sink = LogSink::with_capacity(4);
+        let sink = ring(4);
         for ts in 0..10 {
-            sink.push(stamped(ts));
+            sink.publish(&[stamped(ts)]);
         }
         assert_eq!(sink.len(), 4);
         assert_eq!(sink.emitted(), 10);
-        assert_eq!(sink.dropped(), 6);
-        let drain = sink.drain();
-        assert!(drain.gap, "overwrites since last drain mark a gap");
-        assert_eq!(drain.dropped_since_last, 6);
-        let kept: Vec<u64> = drain.entries.iter().map(|e| e.ts).collect();
+        let (kept, dropped) = drain(&sink);
+        assert_eq!(dropped, 6, "overwrites are counted by the drain");
         assert_eq!(kept, vec![6, 7, 8, 9], "newest records survive");
+        assert_eq!(sink.dropped(), 6);
         assert_eq!(sink.emitted(), sink.drained() + sink.dropped());
-        // A second drain with no traffic in between is gap-free.
-        let drain = sink.drain();
-        assert!(!drain.gap);
-        assert!(drain.entries.is_empty());
+        // A second drain with no traffic in between finds nothing lost.
+        assert_eq!(drain(&sink), (vec![], 0));
     }
 
     #[test]
     fn sink_batch_append_preserves_order_and_allocation() {
-        let sink = LogSink::with_capacity(8);
-        let mut batch: Vec<LogEntry> = (0..5).map(stamped).collect();
-        let cap_before = batch.capacity();
-        sink.append(&mut batch);
-        assert!(batch.is_empty(), "batch is drained in place");
-        assert_eq!(batch.capacity(), cap_before, "scratch keeps its allocation");
-        let got: Vec<u64> = sink.take().iter().map(|e| e.ts).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        let sink = ring(8);
+        let batch: Vec<LogRecord> = (0..5).map(stamped).collect();
+        sink.publish(&batch);
+        assert_eq!(batch.len(), 5, "the scratch is the caller's to reuse");
+        assert_eq!(drain(&sink), (vec![0, 1, 2, 3, 4], 0));
         assert_eq!(sink.emitted(), 5);
         assert_eq!(sink.drained(), 5);
         assert_eq!(sink.dropped(), 0);
     }
 
     #[test]
-    fn sink_shrink_drops_oldest() {
-        let sink = LogSink::with_capacity(8);
-        for ts in 0..8 {
-            sink.push(stamped(ts));
-        }
-        sink.set_capacity(3);
-        assert_eq!(sink.capacity(), 3);
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 5);
-        let kept: Vec<u64> = sink.take().iter().map(|e| e.ts).collect();
-        assert_eq!(kept, vec![5, 6, 7]);
-        assert_eq!(sink.emitted(), sink.drained() + sink.dropped());
-    }
-
-    #[test]
     fn sink_capacity_floor_is_one() {
-        let sink = LogSink::with_capacity(0);
+        let sink = ring(0);
         assert_eq!(sink.capacity(), 1);
-        sink.set_capacity(0);
-        assert_eq!(sink.capacity(), 1);
-        sink.push(stamped(1));
-        sink.push(stamped(2));
+        sink.publish(&[stamped(1)]);
+        sink.publish(&[stamped(2)]);
         assert_eq!(sink.len(), 1);
-        assert_eq!(sink.dropped(), 1);
+        assert_eq!(drain(&sink), (vec![2], 1));
     }
 
     #[test]
     fn sink_accounting_is_exact_under_concurrent_writers() {
         use std::sync::Arc;
-        let sink = Arc::new(LogSink::with_capacity(64));
+        let sink = Arc::new(ring(64));
         let mut total_drained = 0u64;
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -617,20 +675,21 @@ mod tests {
                 s.spawn(move || {
                     let mut batch = Vec::new();
                     for round in 0..200u64 {
+                        batch.clear();
                         for ts in 0..5 {
                             batch.push(stamped(round * 5 + ts));
                         }
-                        sink.append(&mut batch);
+                        sink.publish(&batch);
                     }
                 });
             }
             // A racing drainer, like pftop's loop.
             for _ in 0..50 {
-                total_drained += sink.drain().entries.len() as u64;
+                total_drained += drain(&sink).0.len() as u64;
                 std::thread::yield_now();
             }
         });
-        total_drained += sink.drain().entries.len() as u64;
+        total_drained += drain(&sink).0.len() as u64;
         assert_eq!(sink.emitted(), 4 * 200 * 5);
         assert_eq!(sink.drained(), total_drained);
         assert_eq!(sink.emitted(), sink.drained() + sink.dropped());

@@ -8,9 +8,9 @@
 //! named accessors), [`OP_FAMILIES`] (per-[`LsmOperation`] splits),
 //! [`RULE_FAMILIES`] (per-rule tallies behind `pftables -L -v`),
 //! [`FIELD_FAMILIES`] (per-[`CtxField`] counters), [`LATENCY`]
-//! (log-linear nanosecond histograms), and [`EVENT_ROWS`]/[`LOG_ROWS`]
-//! (event-plane and LOG-sink accounting). The registry also owns the
-//! TRACE target's bounded event ring.
+//! (log-linear nanosecond histograms), and [`EVENT_ROWS`]/[`LOG_ROWS`]/
+//! [`TRACE_ROWS`] (the accounting of the three record streams, see
+//! `crate::events`).
 //!
 //! The registry is **thread-safe**: the firewall hook runs re-entrantly
 //! from many tasks at once, so every counter is a relaxed atomic and the
@@ -24,7 +24,7 @@
 //! failures are always on: they define engine semantics that tests
 //! assert (see [`Metrics::check`]) and carry security signals.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -36,10 +36,6 @@ use crate::chain::ChainName;
 use crate::context::CtxField;
 use crate::log::esc;
 
-/// Capacity of the TRACE event ring; older events are dropped (and
-/// counted) once the ring is full.
-pub const TRACE_RING_CAP: usize = 4096;
-
 const NUM_OPS: usize = LsmOperation::ALL.len();
 const NUM_FIELDS: usize = CtxField::ALL.len();
 
@@ -49,8 +45,7 @@ const NUM_FIELDS: usize = CtxField::ALL.len();
 pub const HISTOGRAM_SHARDS: usize = 8;
 
 /// Locks `m`, recovering from poisoning: the per-rule maps only grow
-/// monotonic tallies and the TRACE ring changes one whole event at a
-/// time, so a panicked holder leaves either one consistent.
+/// monotonic tallies, so a panicked holder leaves them consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -77,57 +72,6 @@ pub(crate) fn prom_label_esc(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             c => out.push(c),
         }
-    }
-}
-
-/// One structured TRACE event: a rule traversed after a TRACE target
-/// fired in the same invocation (mirroring iptables' TRACE semantics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Chain the rule lives in.
-    pub chain: String,
-    /// Rule index within the chain (or the entrypoint partition).
-    pub rule_index: usize,
-    /// Whether the rule's matches all passed.
-    pub matched: bool,
-    /// The rule's target kind (`DROP`, `ACCEPT`, `TRACE`, …).
-    pub target: &'static str,
-    /// Nanoseconds since the TRACE target fired.
-    pub elapsed_ns: u64,
-    /// Whether the invocation was already running degraded (a context
-    /// fetch had failed) when this rule was traversed.
-    pub degraded: bool,
-    /// Decision-event id of the invocation this hop belongs to (the
-    /// [`crate::events::DecisionEvent::seq`] the span was claimed
-    /// under), or 0 when decision-event sampling did not select the
-    /// invocation. Joins TRACE hops to their decision event.
-    pub invocation: u64,
-    /// Overflow gap marker: `true` on the first event drained after the
-    /// ring dropped one or more older events, i.e. "hops are missing
-    /// immediately before this one". Stamped by
-    /// [`Metrics::drain_trace`], never by the writer.
-    pub gap: bool,
-}
-
-impl TraceEvent {
-    /// Renders the event as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"chain\":\"");
-        esc(&mut s, &self.chain);
-        let _ = write!(
-            s,
-            "\",\"rule\":{},\"matched\":{},\"target\":\"{}\",\"elapsed_ns\":{},\"degraded\":{},\
-             \"invocation\":{},\"gap\":{}}}",
-            self.rule_index,
-            self.matched,
-            self.target,
-            self.elapsed_ns,
-            self.degraded,
-            self.invocation,
-            self.gap
-        );
-        s
     }
 }
 
@@ -253,8 +197,6 @@ counters! {
         "Subject labels whose origin crossed the taint threshold (once per label).";
     origin_vcache_invalidations OriginVcacheInvalidations "pf_origin_vcache_invalidations_total"
         "Non-empty verdict caches discarded because the adversary-model generation moved.";
-    trace_dropped TraceDropped "pf_trace_events_dropped_total"
-        "TRACE events discarded because the ring was full.";
 }
 
 metric_table! {
@@ -315,14 +257,25 @@ metric_table! {
 }
 
 metric_table! {
-    /// Bounded LOG sink accounting, appended by the firewall-level
-    /// exporters (JSON object `logs`).
+    /// LOG ring accounting, appended by the firewall-level exporters
+    /// (JSON object `logs`).
     enum LogRow, LOG_ROWS {
         Emitted => "pf_logs_emitted_total", "emitted", Always, "LOG records appended.";
         Drained => "pf_logs_drained_total", "drained", Always, "LOG records collected.";
         Dropped => "pf_logs_dropped_total", "dropped", Always, "LOG records overwritten.";
         Buffered => "pf_logs_buffered", "buffered", Always, "LOG records buffered (gauge).";
-        Capacity => "pf_logs_capacity", "capacity", Always, "LOG sink capacity (gauge).";
+        Capacity => "pf_logs_capacity", "capacity", Always, "LOG ring capacity (gauge).";
+    }
+}
+
+metric_table! {
+    /// TRACE ring accounting, appended by the firewall-level exporters
+    /// (JSON object `trace`).
+    enum TraceRow, TRACE_ROWS {
+        Emitted => "pf_trace_events_emitted_total", "emitted", Always, "TRACE hops written.";
+        Drained => "pf_trace_events_drained_total", "drained", Always, "TRACE hops collected.";
+        Dropped => "pf_trace_events_dropped_total", "dropped", Always,
+            "TRACE hops overwritten before a drain collected them.";
     }
 }
 
@@ -666,12 +619,6 @@ pub struct Metrics {
     chain_shards_pinned: AtomicBool,
     /// Indexed by [`Latency`].
     latency: [ShardedHistogram; LATENCY.len()],
-    // --- TRACE ring (driven by rules, not by `detailed`) ---
-    trace: Mutex<VecDeque<TraceEvent>>,
-    /// The `trace_dropped` total the last `drain_trace` observed; the
-    /// delta since then decides whether the next drain starts with a
-    /// gap marker.
-    trace_drop_mark: AtomicU64,
 }
 
 impl Metrics {
@@ -680,16 +627,14 @@ impl Metrics {
         Self::default()
     }
 
-    /// Resets every counter, histogram, and the trace ring. The detail
-    /// recording flag is preserved.
+    /// Resets every counter and histogram. The detail recording flag is
+    /// preserved.
     pub fn reset(&self) {
         self.counters.reset();
         self.per_op.iter().for_each(Cells::reset);
         self.fields.iter().for_each(Cells::reset);
         self.chains.iter().for_each(|shard| lock(shard).clear());
         self.latency.iter().for_each(ShardedHistogram::reset);
-        lock(&self.trace).clear();
-        self.trace_drop_mark.store(0, Ordering::Relaxed);
     }
 
     /// Turns the detail layer (per-rule/per-op/per-field counters and
@@ -966,44 +911,6 @@ impl Metrics {
     /// Context-fetch latency (detail layer), merged.
     pub fn fetch_latency(&self) -> Histogram {
         self.latency(Latency::Fetch)
-    }
-
-    // --- TRACE ring ---
-
-    pub(crate) fn push_trace(&self, event: TraceEvent) {
-        let mut ring = lock(&self.trace);
-        if ring.len() >= TRACE_RING_CAP {
-            ring.pop_front();
-            self.bump(Counter::TraceDropped);
-        }
-        ring.push_back(event);
-    }
-
-    /// Drains the TRACE event ring, oldest first.
-    ///
-    /// If the ring overflowed since the previous drain (see
-    /// [`Metrics::trace_dropped`]), the first drained event carries
-    /// `gap = true`: hops are missing immediately before it. The marker
-    /// is stamped here, on the reader side, so the push path stays one
-    /// `pop_front` + counter bump regardless of drain cadence.
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        let mut ring = lock(&self.trace);
-        let mut events: Vec<TraceEvent> = ring.drain(..).collect();
-        // Mark-swap happens under the ring lock so two racing drains
-        // cannot both consume the same overflow delta.
-        let total = self.trace_dropped();
-        let prior = self.trace_drop_mark.swap(total, Ordering::Relaxed);
-        if total > prior {
-            if let Some(first) = events.first_mut() {
-                first.gap = true;
-            }
-        }
-        events
-    }
-
-    /// Buffered TRACE events.
-    pub fn trace_len(&self) -> usize {
-        lock(&self.trace).len()
     }
 
     // --- exporters ---
@@ -1300,67 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_is_bounded() {
-        let m = Metrics::new();
-        for i in 0..(TRACE_RING_CAP + 10) {
-            m.push_trace(TraceEvent {
-                chain: "input".into(),
-                rule_index: i,
-                matched: true,
-                target: "DROP",
-                elapsed_ns: 0,
-                degraded: false,
-                invocation: 0,
-                gap: false,
-            });
-        }
-        assert_eq!(m.trace_len(), TRACE_RING_CAP);
-        assert_eq!(m.trace_dropped(), 10);
-        let events = m.drain_trace();
-        assert_eq!(events.len(), TRACE_RING_CAP);
-        assert_eq!(events[0].rule_index, 10, "oldest events were dropped");
-        assert!(events[0].gap, "overflow marks a gap on the first drain");
-        assert!(!events[1].gap, "only the first drained event is marked");
-        assert_eq!(m.trace_len(), 0);
-
-        // A second overflow-free round drains without a gap marker.
-        m.push_trace(TraceEvent {
-            chain: "input".into(),
-            rule_index: 0,
-            matched: true,
-            target: "DROP",
-            elapsed_ns: 0,
-            degraded: false,
-            invocation: 7,
-            gap: false,
-        });
-        let events = m.drain_trace();
-        assert_eq!(events.len(), 1);
-        assert!(!events[0].gap, "no drops since last drain, no gap");
-        assert_eq!(events[0].invocation, 7);
-    }
-
-    #[test]
-    fn trace_event_json() {
-        let e = TraceEvent {
-            chain: "side\"chain".into(),
-            rule_index: 3,
-            matched: false,
-            target: "ACCEPT",
-            elapsed_ns: 42,
-            degraded: true,
-            invocation: 9001,
-            gap: true,
-        };
-        assert_eq!(
-            e.to_json(),
-            "{\"chain\":\"side\\\"chain\",\"rule\":3,\"matched\":false,\
-             \"target\":\"ACCEPT\",\"elapsed_ns\":42,\"degraded\":true,\
-             \"invocation\":9001,\"gap\":true}"
-        );
-    }
-
-    #[test]
     fn prometheus_lines_parse_as_name_labels_value() {
         let m = Metrics::new();
         m.set_detailed(true);
@@ -1514,6 +1360,7 @@ mod tests {
             LATENCY,
             EVENT_ROWS,
             LOG_ROWS,
+            TRACE_ROWS,
         ];
         for d in tables.iter().flat_map(|table| table.iter()) {
             assert!(

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pf_types::{LabelSet, LsmOperation, ProgramId};
+use pf_types::{InternId, LabelSet, LsmOperation, ProgramId};
 
 use crate::chain::ChainName;
 use crate::context::CtxField;
@@ -177,6 +177,21 @@ impl CtxPolicy {
     }
 }
 
+/// The target keywords, indexed by the kind [`Target::kind_name`]
+/// renders.
+pub(crate) const TARGET_KINDS: [&str; 10] = [
+    "DROP",
+    "ACCEPT",
+    "CONTINUE",
+    "RETURN",
+    "JUMP",
+    "STATE",
+    "LOG",
+    "TRACE",
+    "RATELIMIT",
+    "QUOTA",
+];
+
 /// Targets (`-j`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Target {
@@ -206,8 +221,9 @@ pub enum Target {
     },
     /// `-j LOG [--tag T]`: emit a JSON log record, continue.
     Log {
-        /// Free-form tag carried in the record.
-        tag: String,
+        /// Free-form tag carried in the record, interned at parse time
+        /// into the program interner.
+        tag: InternId,
     },
     /// `-j TRACE`: non-terminal. Once a packet hits a TRACE rule, every
     /// subsequent rule it traverses in the same invocation emits a
@@ -254,17 +270,22 @@ impl Target {
     /// The target's kind as a rule-language keyword (jump targets all
     /// render as `JUMP`; the chain name is carried elsewhere).
     pub fn kind_name(&self) -> &'static str {
+        TARGET_KINDS[usize::from(self.kind())]
+    }
+
+    /// The target's kind as an index into [`TARGET_KINDS`].
+    pub(crate) fn kind(&self) -> u8 {
         match self {
-            Target::Drop => "DROP",
-            Target::Accept => "ACCEPT",
-            Target::Continue => "CONTINUE",
-            Target::Return => "RETURN",
-            Target::Jump(_) => "JUMP",
-            Target::StateSet { .. } | Target::StateUnset { .. } => "STATE",
-            Target::Log { .. } => "LOG",
-            Target::Trace => "TRACE",
-            Target::RateLimit { .. } => "RATELIMIT",
-            Target::Quota { .. } => "QUOTA",
+            Target::Drop => 0,
+            Target::Accept => 1,
+            Target::Continue => 2,
+            Target::Return => 3,
+            Target::Jump(_) => 4,
+            Target::StateSet { .. } | Target::StateUnset { .. } => 5,
+            Target::Log { .. } => 6,
+            Target::Trace => 7,
+            Target::RateLimit { .. } => 8,
+            Target::Quota { .. } => 9,
         }
     }
 
@@ -296,6 +317,10 @@ pub struct Rule {
     pub ctx_policy: Option<CtxPolicy>,
     /// The original rule text (for display, deletion, and logs).
     pub text: String,
+    /// The name of the chain the rule was parsed for, interned into the
+    /// program interner so LOG and TRACE records can name it without a
+    /// string.
+    pub(crate) chain: InternId,
     /// Times this rule's target fired (match + modules all passed).
     hits: AtomicU64,
     /// Cacheability analysis, match side: `true` when any match module
@@ -322,6 +347,7 @@ impl Clone for Rule {
             target: self.target.clone(),
             ctx_policy: self.ctx_policy,
             text: self.text.clone(),
+            chain: self.chain,
             hits: AtomicU64::new(self.hits()),
             vc_impure_match: self.vc_impure_match,
             vc_impure_target: self.vc_impure_target,
@@ -372,6 +398,7 @@ impl Rule {
             target,
             ctx_policy: None,
             text,
+            chain: InternId(u32::MAX),
             hits: AtomicU64::new(0),
             vc_impure_match,
             vc_impure_target,
@@ -397,12 +424,6 @@ impl Rule {
     /// and has no side effects a cached verdict would skip.
     pub fn vc_pure(&self) -> bool {
         !self.vc_impure_match && !self.vc_impure_target
-    }
-
-    /// Returns `true` if the rule can live in an entrypoint-specific
-    /// chain.
-    pub fn has_entrypoint(&self) -> bool {
-        self.def.entrypoint().is_some()
     }
 
     /// Times this rule matched and its target ran.
@@ -494,7 +515,7 @@ mod tests {
         );
         assert!(state.vc_impure_match && !state.vc_impure_target);
         assert!(state.clone().vc_impure_match, "clone keeps the flags");
-        assert!(rule(vec![], Target::Log { tag: "t".into() }).vc_impure_target);
+        assert!(rule(vec![], Target::Log { tag: InternId(0) }).vc_impure_target);
         assert!(rule(
             vec![MatchModule::Compare {
                 v1: ValueExpr::Ctx(CtxField::ResourceId),
@@ -523,7 +544,7 @@ mod tests {
         assert!(Target::Drop.is_terminal());
         assert!(Target::Jump(ChainName::User("x".into())).is_terminal());
         assert!(!Target::Trace.is_terminal());
-        assert!(!Target::Log { tag: String::new() }.is_terminal());
+        assert!(!Target::Log { tag: InternId(0) }.is_terminal());
         assert!(!Target::StateSet {
             key: 1,
             value: ValueExpr::Lit(1)

@@ -36,7 +36,7 @@ use pf_types::LsmOperation;
 
 use crate::engine::{EvalDecision, ProcessFirewall};
 use crate::env::EvalEnv;
-use crate::log::LogEntry;
+use crate::log::LogRecord;
 use crate::snapshot::RulesetSnapshot;
 use crate::vcache::VerdictCache;
 
@@ -53,7 +53,7 @@ pub struct TaskSession {
     /// its kernel swapping in a *different* firewall instance (whose
     /// generation counter is unrelated).
     owner: usize,
-    scratch: Vec<LogEntry>,
+    scratch: Vec<LogRecord>,
     /// The VCACHE verdict cache (active only when the pinned config has
     /// `verdict_cache` set). Entries are valid for exactly one pinned
     /// snapshot: every re-pin clears them wholesale, so no verdict
@@ -149,19 +149,7 @@ impl TaskSession {
         op: LsmOperation,
     ) -> EvalDecision {
         self.refresh(fw);
-        match self.snap.as_deref() {
-            Some(snap) => fw.evaluate_cached(
-                snap,
-                env,
-                op,
-                &mut self.scratch,
-                Some(&mut self.vcache),
-                self.event_shard,
-            ),
-            // Unreachable after `refresh`, but never panic on the hook
-            // path: fall back to a one-shot snapshot load.
-            None => fw.evaluate(env, op),
-        }
+        self.evaluate_on_pin(fw, env, op)
     }
 
     /// Evaluates against the snapshot pinned earlier, ignoring newer
@@ -177,15 +165,22 @@ impl TaskSession {
         if self.snap.is_none() || self.owner != Self::owner_id(fw) {
             self.refresh(fw);
         }
+        self.evaluate_on_pin(fw, env, op)
+    }
+
+    fn evaluate_on_pin(
+        &mut self,
+        fw: &ProcessFirewall,
+        env: &mut dyn EvalEnv,
+        op: LsmOperation,
+    ) -> EvalDecision {
+        let vcache = Some(&mut self.vcache);
         match self.snap.as_deref() {
-            Some(snap) => fw.evaluate_cached(
-                snap,
-                env,
-                op,
-                &mut self.scratch,
-                Some(&mut self.vcache),
-                self.event_shard,
-            ),
+            Some(snap) => {
+                fw.evaluate_cached(snap, env, op, &mut self.scratch, vcache, self.event_shard)
+            }
+            // Unreachable after a pin, but never panic on the hook
+            // path: fall back to a one-shot snapshot load.
             None => fw.evaluate(env, op),
         }
     }
@@ -399,7 +394,7 @@ mod tests {
         let mut session = TaskSession::new();
         session.evaluate(&fw, &mut env, LsmOperation::FileOpen);
         session.evaluate(&fw, &mut env, LsmOperation::FileOpen);
-        let logs = fw.take_logs();
+        let logs = fw.take_logs(&env.mac, &env.programs);
         assert_eq!(logs.len(), 2);
         assert!(logs.iter().all(|e| e.tag == "s" && e.verdict == "ALLOW"));
     }

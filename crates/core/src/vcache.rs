@@ -33,7 +33,7 @@ use pf_types::{LsmOperation, ProgramId, SecId};
 use crate::context::Packet;
 use crate::engine::EvalDecision;
 use crate::env::Fetched;
-use crate::log::LogEntry;
+use crate::log::LogRecord;
 use crate::metrics::Metrics;
 
 /// The context a cached verdict is keyed by.
@@ -121,7 +121,7 @@ pub(crate) struct CacheEntry {
     pub(crate) kind: VerdictKind,
     /// The DROP log record the original walk emitted, replayed (with a
     /// fresh timestamp) on every hit so cached denials stay audited.
-    pub(crate) log: Option<LogEntry>,
+    pub(crate) log: Option<LogRecord>,
 }
 
 /// Entries beyond this bound trigger a wholesale clear: a task touching

@@ -92,7 +92,10 @@ impl Shell {
                 Ok(out)
             }
             ["logs"] => {
-                let logs = self.kernel.firewall.take_logs();
+                let logs = self
+                    .kernel
+                    .firewall
+                    .take_logs(&self.kernel.mac, &self.kernel.programs);
                 Ok(logs
                     .iter()
                     .map(|l| l.to_json())

@@ -91,7 +91,7 @@ fn run_trace(
         });
         outcomes.push(ok);
     }
-    let logs = k.firewall.take_logs();
+    let logs = k.firewall.take_logs(&k.mac, &k.programs);
     assert_eq!(k.firewall.check(), Vec::<String>::new(), "{level:?}");
     let mut state: Vec<(u64, u64)> = k
         .task(pid)
@@ -328,7 +328,7 @@ fn vcache_serves_hits_for_repeated_denials() {
     assert_eq!(m.vcache_uncacheable(), 0);
     assert_eq!(m.drops(), 5, "hits still count as drops");
     // Every cached denial is still audited.
-    assert_eq!(k.firewall.take_logs().len(), 5);
+    assert_eq!(k.firewall.take_logs(&k.mac, &k.programs).len(), 5);
     assert_eq!(k.firewall.check(), Vec::<String>::new());
 }
 

@@ -236,7 +236,7 @@ fn run_trace(level: OptLevel, seed: u64, stateful: bool, faults: Option<FaultCon
     let state_parent = collect(&k, pid);
     let state_child = collect(&k, child);
     let m = k.firewall.metrics();
-    let logs = k.firewall.take_logs();
+    let logs = k.firewall.take_logs(&k.mac, &k.programs);
     assert_eq!(k.firewall.check(), Vec::<String>::new(), "{level:?}");
     Observed {
         outcomes,

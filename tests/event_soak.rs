@@ -23,7 +23,7 @@ use std::sync::{Arc, Barrier};
 
 use process_firewall::firewall::{
     EvalEnv, EventKind, EventVerdict, ObjectInfo, OptLevel, ProcessFirewall, SamplingMode,
-    SignalInfo, TaskSession,
+    SignalInfo, TaskSession, LOG_RING_CAP,
 };
 use process_firewall::mac::{ubuntu_mini, MacPolicy};
 use process_firewall::types::{
@@ -359,4 +359,70 @@ fn reload_control_events_record_commit_and_abort() {
     );
     assert_eq!(abort.aux2, 3, "the surviving snapshot still has 3 rules");
     assert_eq!(fw.rule_count(), 3);
+}
+
+/// The LOG stream loses records only when it overflows: eight writers
+/// emitting fewer LOG records than the ring holds, with a drainer
+/// racing them, end with every record drained and none dropped — a
+/// record still being published when a drain passes comes back on the
+/// next drain.
+#[test]
+fn log_records_below_capacity_survive_racing_drains() {
+    const PER_WORKER: usize = LOG_RING_CAP / WORKERS - 1;
+    let fw = Arc::new(ProcessFirewall::new(OptLevel::EptSpc));
+    let mut env = Env::new(Pid(BASE_PID));
+    fw.install(
+        "pftables -o FILE_GETATTR -j LOG --tag soak",
+        &mut env.mac,
+        &mut env.programs,
+    )
+    .unwrap();
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(WORKERS + 1);
+    let mut drained = Vec::new();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (fw, start) = (&fw, &start);
+                s.spawn(move || {
+                    let mut env = Env::new(Pid(BASE_PID + w as u32));
+                    let mut session = TaskSession::new();
+                    start.wait();
+                    for _ in 0..PER_WORKER {
+                        session.evaluate(fw, &mut env, LsmOperation::FileGetattr);
+                    }
+                })
+            })
+            .collect();
+        let drainer = s.spawn(|| {
+            start.wait();
+            let mut got = Vec::new();
+            while !done.load(Ordering::Relaxed) {
+                let d = fw.drain_logs();
+                assert!(!d.gap && d.dropped_since_last == 0);
+                got.extend(d.entries);
+                std::thread::yield_now();
+            }
+            got
+        });
+        for w in workers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        drained = drainer.join().unwrap();
+    });
+    drained.extend(fw.drain_logs().entries);
+    let sink = fw.log_sink();
+    let total = (WORKERS * PER_WORKER) as u64;
+    assert_eq!(sink.emitted(), total);
+    assert_eq!(sink.dropped(), 0, "no record lost below capacity");
+    assert_eq!(sink.drained(), total);
+    assert_eq!(drained.len() as u64, total);
+    let mut per_pid: HashMap<u32, usize> = HashMap::new();
+    for r in &drained {
+        *per_pid.entry(r.pid).or_default() += 1;
+    }
+    assert_eq!(per_pid.len(), WORKERS);
+    assert!(per_pid.values().all(|&n| n == PER_WORKER));
+    assert_eq!(fw.check(), Vec::<String>::new());
 }

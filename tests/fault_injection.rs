@@ -641,47 +641,58 @@ fn clock_fault_on_throttle_rule_fails_closed() {
 #[test]
 fn kernel_hook_applies_fault_injection() {
     // The pf-os plumbing: arm `Kernel::fault_injection` and replay the
-    // E1 library-open attack through the real hook. With a 10% unwind
-    // failure rate the trojan open must be denied on every iteration —
-    // by R1 normally, by the fail-closed default when the unwinder
-    // errors. FULL level (no per-syscall caching) so the FILE_OPEN
-    // hook itself performs the fallible fetch rather than reusing a
-    // value a DirSearch hook cached earlier in the same syscall.
+    // E1 library-open attack through the real hook, at every enabled
+    // level on a fresh world. With a 50% unwind failure rate the trojan
+    // open must be denied on every iteration — by R1 normally, by the
+    // fail-closed default when the unwinder errors. The rate is high
+    // because the levels with per-syscall context caching serve the
+    // FILE_OPEN hook's entrypoint from an earlier hook of the same
+    // syscall (a DIR_SEARCH during path resolution): only a syscall whose
+    // earlier unwinds all failed reaches the fallible fetch in the
+    // FILE_OPEN hook, and at 10% that never happens in 300 opens.
     use process_firewall::prelude::*;
 
-    let mut k = standard_world();
-    k.install_rules(table5_rules()).unwrap();
-    k.firewall.set_level(OptLevel::Full).unwrap();
-    // Plant the trojan before arming the injector so setup is clean.
-    let adversary = k.spawn("user_t", "/bin/sh", Uid(1000), Gid(1000));
-    k.mkdir(adversary, "/tmp/svn", 0o755).unwrap();
-    let fd = k
-        .open(
-            adversary,
-            "/tmp/svn/mod_dav_svn.so",
-            OpenFlags::creat(0o755),
-        )
-        .unwrap();
-    k.write(adversary, fd, b"TROJAN").unwrap();
-    k.close(adversary, fd).unwrap();
+    for level in enabled_levels() {
+        let mut k = standard_world();
+        k.install_rules(table5_rules()).unwrap();
+        k.firewall.set_level(level).unwrap();
+        // Plant the trojan before arming the injector so setup is clean.
+        let adversary = k.spawn("user_t", "/bin/sh", Uid(1000), Gid(1000));
+        k.mkdir(adversary, "/tmp/svn", 0o755).unwrap();
+        let fd = k
+            .open(
+                adversary,
+                "/tmp/svn/mod_dav_svn.so",
+                OpenFlags::creat(0o755),
+            )
+            .unwrap();
+        k.write(adversary, fd, b"TROJAN").unwrap();
+        k.close(adversary, fd).unwrap();
 
-    let apache = k.spawn("httpd_t", "/usr/bin/apache2", Uid::ROOT, Gid::ROOT);
-    k.fault_injection = Some(FaultInjector::new(FaultConfig {
-        unwind_fail: 0.10,
-        ..FaultConfig::off(0xe1)
-    }));
+        let apache = k.spawn("httpd_t", "/usr/bin/apache2", Uid::ROOT, Gid::ROOT);
+        k.fault_injection = Some(FaultInjector::new(FaultConfig {
+            unwind_fail: 0.5,
+            ..FaultConfig::off(0xe1)
+        }));
 
-    for _ in 0..300 {
-        let denied = k
-            .with_frame(apache, "/lib/ld-2.15.so", 0x596b, |k| {
-                k.open(apache, "/tmp/svn/mod_dav_svn.so", OpenFlags::rdonly())
-            })
-            .err()
-            .map(|e| e.is_firewall_denial())
-            .unwrap_or(false);
-        assert!(denied, "trojan open slipped through the kernel hook");
+        for i in 0..300 {
+            let denied = k
+                .with_frame(apache, "/lib/ld-2.15.so", 0x596b, |k| {
+                    k.open(apache, "/tmp/svn/mod_dav_svn.so", OpenFlags::rdonly())
+                })
+                .err()
+                .map(|e| e.is_firewall_denial())
+                .unwrap_or(false);
+            assert!(
+                denied,
+                "{level:?}: trojan open slipped through the kernel hook on iteration {i}"
+            );
+        }
+        let stats = k.fault_injection.as_ref().unwrap().stats();
+        assert!(stats.unwind > 0, "{level:?}: the injector actually fired");
+        assert!(
+            k.firewall.metrics().degraded_drops() > 0,
+            "{level:?}: a failed unwind fails closed"
+        );
     }
-    let stats = k.fault_injection.as_ref().unwrap().stats();
-    assert!(stats.unwind > 0, "the injector actually fired");
-    assert!(k.firewall.metrics().degraded_drops() > 0);
 }

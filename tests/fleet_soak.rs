@@ -16,7 +16,7 @@
 //!    session's observed generations never go backwards.
 //! 2. **Memory bounded under flood.** A producer that outruns its
 //!    collector loses the oldest records to overwrite — the buffered
-//!    count never exceeds the configured capacity, no matter how many
+//!    count never exceeds the LOG ring's capacity, no matter how many
 //!    records are emitted (the old sink grew without bound).
 //! 3. **Sharded chain-detail parity.** The per-rule counter maps are
 //!    sharded per recording thread and merged on export; the merged
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use process_firewall::firewall::{
-    ChainSnapshot, EvalEnv, ObjectInfo, SamplingMode, SignalInfo, TaskSession,
+    ChainSnapshot, EvalEnv, ObjectInfo, SamplingMode, SignalInfo, TaskSession, LOG_RING_CAP,
 };
 use process_firewall::prelude::*;
 use process_firewall::types::{
@@ -37,7 +37,6 @@ use process_firewall::types::{
 const SHARDS: usize = 4;
 const TASKS_PER_SHARD: usize = 16;
 const ROUNDS: usize = 60;
-const LOG_CAP: usize = 256;
 const MIN_RELOADS: u64 = 10;
 
 /// The two rule bases the reloader alternates between. Both variants
@@ -192,7 +191,6 @@ fn drive_shard(k: &mut Kernel, pids: &[Pid]) {
 #[test]
 fn fleet_soak_exact_accounting_under_racing_reloads() {
     let (mut shards, shared, residents) = build_shards();
-    shared.set_log_capacity(LOG_CAP);
     shared.events().set_sampling(SamplingMode::OneIn(4));
     let gen0 = shared.generation();
 
@@ -336,8 +334,8 @@ fn fleet_soak_exact_accounting_under_racing_reloads() {
     );
     assert_eq!(shared.log_count(), 0, "tail drain emptied the sink");
     assert!(
-        buffered_max.load(Ordering::Relaxed) <= LOG_CAP as u64,
-        "buffered records never exceed the configured capacity"
+        buffered_max.load(Ordering::Relaxed) <= LOG_RING_CAP as u64,
+        "buffered records never exceed the ring capacity"
     );
 
     let plane = shared.events();
@@ -362,18 +360,18 @@ fn fleet_soak_exact_accounting_under_racing_reloads() {
     );
 }
 
-/// The regression the bounded sink exists for: a producer that is never
-/// drained must plateau at the configured capacity — overwriting the
-/// oldest records and counting every loss — not grow without bound.
+/// The regression the bounded ring exists for: a producer that is never
+/// drained must plateau at the ring's capacity — overwriting the oldest
+/// records and counting every loss at the next drain — not grow without
+/// bound.
 #[test]
 fn log_sink_memory_bounded_under_sustained_flood() {
-    const CAP: usize = 512;
-    const OPENS: usize = 6_000;
+    const CAP: usize = LOG_RING_CAP;
+    const OPENS: usize = CAP + 1_800;
 
     let mut k = standard_world();
     k.install_rules(["pftables -o FILE_OPEN -j LOG --tag flood"])
         .unwrap();
-    k.firewall.set_log_capacity(CAP);
     let pid = k.spawn("init_t", "/sbin/init", Uid::ROOT, Gid::ROOT);
 
     for i in 0..OPENS {
@@ -392,16 +390,16 @@ fn log_sink_memory_bounded_under_sustained_flood() {
     let emitted = sink.emitted();
     assert!(emitted >= OPENS as u64);
     assert_eq!(k.firewall.log_count(), CAP, "flooded sink sits at capacity");
-    assert_eq!(
-        sink.dropped(),
-        emitted - CAP as u64,
-        "overwrite-oldest: everything not buffered was counted as dropped"
-    );
 
     let d = k.firewall.drain_logs();
     assert_eq!(d.entries.len(), CAP);
     assert!(d.gap, "a lapped ring must hand the collector a gap marker");
-    assert_eq!(d.dropped_since_last, emitted - CAP as u64);
+    assert_eq!(
+        d.dropped_since_last,
+        emitted - CAP as u64,
+        "overwrite-oldest: everything not buffered was counted as dropped"
+    );
+    assert_eq!(sink.dropped(), emitted - CAP as u64);
     assert_eq!(sink.emitted(), sink.drained() + sink.dropped());
     assert_eq!(k.firewall.log_count(), 0);
 

@@ -137,7 +137,7 @@ fn firewall_drops_are_attributed_and_logged() {
     }
     let denials: Vec<_> = k
         .firewall
-        .take_logs()
+        .take_logs(&k.mac, &k.programs)
         .into_iter()
         .filter(|l| l.verdict == "DENY")
         .collect();
